@@ -12,9 +12,7 @@ MAC_RETRY = "mac-retry"
 ANT_LAUNCH = "ant-launch"
 DATA_GENERATION = "data-generation"
 SINK_MOVE = "sink-move"
-CACHE_TIMEOUT = "cache-timeout"
 PROTO_TIMER = "proto-timer"
-RUN_END = "run-end"
 
 
 class SchedulingError(Exception):

@@ -17,7 +17,7 @@ def reinforce(table, chosen, dest, r: float):
     if not (0.0 <= r <= 1.0):
         raise RoutingError(f"reinforcement factor {r!r} outside [0, 1]")
     col = table.column(dest)
-    idx = table._index[chosen]
+    idx = table.index[chosen]
     for i in range(len(col)):
         if i == idx:
             col[i] += r * (1.0 - col[i])
@@ -59,8 +59,7 @@ class PathReinforceProtocol(Protocol):
         sim = self.sim
         if node == sim.sink_node or node not in self.tables:
             return
-        ant = Ant(uid=sim.new_ant_uid(), kind="forward", source=node,
-                  launched_at=sim.now)
+        ant = Ant(uid=sim.new_ant_uid())
         ant.visit(node, sim.now)
         sim.count("fwd_ants_launched")
         self._forward_step(node, ant)
@@ -73,17 +72,8 @@ class PathReinforceProtocol(Protocol):
                                            exclude=ant.path_nodes(), strict=True)
         except RoutingError:
             sim.count("fwd_ants_dead_end")
-            self._ant_died(ant)
             return
         sim.send_frame(node, nxt, FORWARD_ANT, self.cfg.ant_bits, {"ant": ant})
-
-    def on_control_frame(self, node: int, frame):
-        if frame.dst != node:
-            return
-        if frame.kind == FORWARD_ANT:
-            self._on_forward_ant(node, frame)
-        elif frame.kind == BACKWARD_ANT:
-            self._on_backward_ant(node, frame)
 
     def _on_forward_ant(self, node: int, frame):
         sim = self.sim
@@ -91,7 +81,6 @@ class PathReinforceProtocol(Protocol):
         ant.visit(node, sim.now)
         if node == sim.sink_node:
             sim.count("fwd_ants_arrived")
-            self._ant_died(ant)
             self._start_backward(node, ant)
         else:
             self._forward_step(node, ant)
@@ -99,7 +88,6 @@ class PathReinforceProtocol(Protocol):
     # -- backward ants -------------------------------------------------------
 
     def _start_backward(self, sink_node: int, ant: Ant):
-        ant.kind = "backward"
         pos = len(ant.path) - 2
         if pos < 0:
             return
@@ -122,18 +110,13 @@ class PathReinforceProtocol(Protocol):
         if trip <= 0 or node not in self.tables:
             return
         table = self.tables[node]
-        if came_from not in table._index:
+        if came_from not in table.index:
             return  # heard across a noise-extended link; no table row for it
         model = self.trip_models[node]
         model.observe(trip)
         r = reinforcement_factor(model, trip, self.cfg.c1, self.cfg.c2)
         reinforce(table, came_from, SINK, r)
         table.normalize_check(SINK)
-
-    # -- bookkeeping hook (pheromone family and quota users override) ------
-
-    def _ant_died(self, ant: Ant):
-        pass
 
 
 class BABR(PathReinforceProtocol):

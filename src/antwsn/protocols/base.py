@@ -8,7 +8,7 @@ the ant lifecycle; data-packet plumbing lives here.
 
 from dataclasses import dataclass
 
-from ..radio import BROADCAST, DATA, Frame
+from ..radio import BACKWARD_ANT, DATA, FORWARD_ANT, Frame
 from ..routing import RoutingError, RoutingTable
 
 SINK = "sink"   # logical destination key; survives sink re-binding
@@ -69,7 +69,13 @@ class Protocol:
             self.on_control_frame(node, frame)
 
     def on_control_frame(self, node: int, frame: Frame):
-        raise NotImplementedError
+        """Unicast ants: overheard copies are ignored."""
+        if frame.dst != node:
+            return
+        if frame.kind == FORWARD_ANT:
+            self._on_forward_ant(node, frame)
+        elif frame.kind == BACKWARD_ANT:
+            self._on_backward_ant(node, frame)
 
     # -- data pipeline -------------------------------------------------------
 

@@ -6,7 +6,7 @@ and average residual energy the ant saw.
 
 from ..kernel import weighted_pick
 from ..radio import BACKWARD_ANT, FORWARD_ANT
-from ..routing import Ant, AntCache, PHEROMONE, RoutingError
+from ..routing import Ant, AntCache, PHEROMONE
 from .base import SINK, Protocol
 
 VISIBILITY_FLOOR = 1e-3   # fraction of the budget the 1/(C - e) denominator keeps
@@ -65,21 +65,11 @@ class EEABR(Protocol):
         sim = self.sim
         if node == sim.sink_node or node not in self.tables:
             return
-        ant = Ant(uid=sim.new_ant_uid(), kind="forward", source=node,
-                  launched_at=sim.now)
+        ant = Ant(uid=sim.new_ant_uid())
         if not self._admit(ant):
             sim.count("fwd_ants_deferred")
             return
-        ant.visit(node, sim.now)
-        ant.record_energy(sim.residual(node))
-        nxt = self._pick_next(node, ant)
-        if nxt is None:
-            sim.count("fwd_ants_dead_end")
-            self._ant_died(ant)
-            return
-        sim.count("fwd_ants_launched")
-        self.caches[node].remember(ant.uid, previous=-1, forward=nxt, now=sim.now)
-        sim.send_frame(node, nxt, FORWARD_ANT, self.cfg.ant_bits, {"ant": ant})
+        self._advance(node, ant, previous=-1)
 
     def _candidate_residual(self, node: int) -> float:
         """Residual as visibility sees it. The node currently acting as sink
@@ -91,12 +81,13 @@ class EEABR(Protocol):
             return sim.energy_budget
         return sim.residual(node)
 
-    def _pick_next(self, node: int, ant: Ant):
-        """Stochastic choice over neighbors outside the ant's short memory,
-        weighted by trail strength and the candidate's energy visibility."""
+    def _pick_next(self, node: int, exclude):
+        """Stochastic choice over the neighbors of `node` outside `exclude`,
+        weighted by trail strength and the candidate's energy visibility.
+        None, without a draw, when every neighbor is excluded."""
         sim = self.sim
         table = self.tables[node]
-        candidates = [n for n in table.neighbors if n not in ant.memory]
+        candidates = [n for n in table.neighbors if n not in exclude]
         if not candidates:
             return None
         taus = [table.get(n, SINK) for n in candidates]
@@ -106,14 +97,6 @@ class EEABR(Protocol):
         if not any(w > 0 for w in weights):
             weights = [1.0] * len(candidates)
         return candidates[weighted_pick(weights, sim.rng.protocol.uniform())]
-
-    def on_control_frame(self, node: int, frame):
-        if frame.dst != node:
-            return
-        if frame.kind == FORWARD_ANT:
-            self._on_forward_ant(node, frame)
-        elif frame.kind == BACKWARD_ANT:
-            self._on_backward_ant(node, frame)
 
     def _on_forward_ant(self, node: int, frame):
         sim = self.sim
@@ -127,22 +110,31 @@ class EEABR(Protocol):
             sim.count("fwd_ants_looped")
             self._ant_died(ant)
             return
+        self._advance(node, ant, previous=frame.src)
+
+    def _advance(self, node: int, ant: Ant, previous: int):
+        """The ant is at `node`, having come from `previous` (-1 at its
+        source): record the visit, then answer it at the sink or send it on
+        to a neighbor outside its two-node memory."""
+        sim = self.sim
         ant.visit(node, sim.now)
         ant.record_energy(sim.residual(node))
         if node == sim.sink_node:
             sim.count("fwd_ants_arrived")
             self._ant_died(ant)
             dtau = trail_deposit(sim.energy_budget, ant.e_min, ant.e_avg,
-                                 ant.hops, self.cfg.dtau_max)
-            sim.send_frame(node, frame.src, BACKWARD_ANT, self.cfg.ant_bits,
+                                 len(ant.path), self.cfg.dtau_max)
+            sim.send_frame(node, previous, BACKWARD_ANT, self.cfg.ant_bits,
                            {"uid": ant.uid, "dtau": dtau, "bd": 1})
             return
-        nxt = self._pick_next(node, ant)
+        nxt = self._pick_next(node, [n for n, _ in ant.path[-2:]])
         if nxt is None:
             sim.count("fwd_ants_dead_end")
             self._ant_died(ant)
             return
-        cache.remember(ant.uid, previous=frame.src, forward=nxt, now=sim.now)
+        if previous < 0:
+            sim.count("fwd_ants_launched")
+        self.caches[node].remember(ant.uid, previous, sim.now)
         sim.send_frame(node, nxt, FORWARD_ANT, self.cfg.ant_bits, {"ant": ant})
 
     # -- backward ants -------------------------------------------------------
@@ -151,44 +143,34 @@ class EEABR(Protocol):
         sim = self.sim
         uid = frame.payload["uid"]
         cache = self.caches.get(node)
-        rec = cache.lookup(uid, sim.now) if cache is not None else None
-        if rec is None:
+        previous = cache.lookup(uid, sim.now) if cache is not None else None
+        if previous is None:
             sim.count("bwd_ants_stale")
             return
         table = self.tables[node]
-        if frame.src in table._index:
+        if frame.src in table.index:
             tau = table.get(frame.src, SINK)
             table.set(frame.src, SINK,
                       evaporate_deposit(tau, frame.payload["dtau"],
                                         frame.payload["bd"],
                                         self.cfg.rho, self.cfg.phi))
         cache.forget(uid)
-        if rec.previous < 0:
+        if previous < 0:
             sim.count("bwd_ants_completed")
             return
-        sim.send_frame(node, rec.previous, BACKWARD_ANT, self.cfg.ant_bits,
+        sim.send_frame(node, previous, BACKWARD_ANT, self.cfg.ant_bits,
                        {"uid": uid, "dtau": frame.payload["dtau"],
                         "bd": frame.payload["bd"] + 1})
 
     # -- data --------------------------------------------------------------
 
     def data_next_hop(self, node: int, arrived_from):
-        sim = self.sim
-        table = self.tables.get(node)
-        if table is None:
+        if node not in self.tables:
             return None
-        candidates = [n for n in table.neighbors if n != arrived_from]
-        if not candidates:
-            candidates = list(table.neighbors)
-        if not candidates:
-            return None
-        taus = [table.get(n, SINK) for n in candidates]
-        residuals = [self._candidate_residual(n) for n in candidates]
-        weights = selection_weights(taus, residuals, self.cfg.alpha,
-                                    self.cfg.beta, sim.energy_budget)
-        if not any(w > 0 for w in weights):
-            weights = [1.0] * len(candidates)
-        return candidates[weighted_pick(weights, sim.rng.protocol.uniform())]
+        nxt = self._pick_next(node, (arrived_from,))
+        if nxt is None:   # the sender is the only neighbor: bounce back
+            nxt = self._pick_next(node, ())
+        return nxt
 
     # -- loss bookkeeping ----------------------------------------------------
 

@@ -33,8 +33,7 @@ class FF(PathReinforceProtocol):
         sim = self.sim
         if node == sim.sink_node or node not in self.tables:
             return
-        ant = Ant(uid=sim.new_ant_uid(), kind="forward", source=node,
-                  launched_at=sim.now)
+        ant = Ant(uid=sim.new_ant_uid())
         ant.visit(node, sim.now)
         self._seen[node].add(ant.uid)
         sim.count("fwd_ants_launched")
@@ -92,7 +91,7 @@ class FF(PathReinforceProtocol):
             return False
         if node not in self._reinforced:
             return True  # no routing opinion yet: flood once regardless
-        p = table.get(sender, SINK) if sender in table._index else 0.0
+        p = table.get(sender, SINK) if sender in table.index else 0.0
         return should_broadcast(p, len(table.neighbors))
 
     def _flood_bits(self, kind: str) -> int:

@@ -18,9 +18,6 @@ class FP(FF):
         super().__init__(sim)
         self._delivered = set()     # packet uids already counted at the sink
 
-    def launch_ant(self, node: int):
-        pass
-
     def on_data_generated(self, node: int):
         sim = self.sim
         if node == sim.sink_node:
@@ -32,8 +29,7 @@ class FP(FF):
         packet = DataPacket(uid=sim.new_packet_uid(), origin=node,
                             created_at=sim.now,
                             ttl=int(self.cfg.data_ttl_factor * sim.topology.n))
-        ant = Ant(uid=sim.new_ant_uid(), kind="data", source=node,
-                  launched_at=sim.now)
+        ant = Ant(uid=sim.new_ant_uid())
         ant.visit(node, sim.now)
         self._seen[node].add(ant.uid)
         sim.send_frame(node, BROADCAST, DATA_ANT, self._flood_bits(DATA_ANT),

@@ -116,9 +116,9 @@ class IEEABR(EEABR):
         if not dst_dead or frame.dst == BROADCAST:
             return
         table = self.tables.get(frame.src)
-        if table is None or frame.dst not in table._index:
+        if table is None or frame.dst not in table.index:
             return
-        idx = table._index[frame.dst]
+        idx = table.index[frame.dst]
         col = table.column(SINK)
         if col[idx] <= 0:
             return

@@ -8,7 +8,7 @@ threshold; two audible frames that overlap in time at one receiver destroy
 each other there.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,25 +134,17 @@ class EnergyLedger:
         return abs(consumed - spent) / scale
 
 
-_frame_seq = 0
-
-
-@dataclass
+@dataclass(eq=False)   # two transmissions with equal fields are still two frames
 class Frame:
     src: int
     dst: int  # BROADCAST or a node id
     kind: str
     size_bits: int
     payload: object = None
-    uid: int = field(default=-1)
 
     def __post_init__(self):
-        global _frame_seq
         if self.size_bits <= 0:
             raise ValueError("frame size must be > 0 bits")
-        if self.uid < 0:
-            self.uid = _frame_seq
-            _frame_seq += 1
 
 
 class _Transmission:

@@ -41,11 +41,8 @@ class RoutingTable:
         self.neighbors = list(neighbors)
         self.mode = mode
         self.fresh_mass = fresh_mass
-        self._index = {n: i for i, n in enumerate(self.neighbors)}
+        self.index = {n: i for i, n in enumerate(self.neighbors)}  # neighbor -> column slot
         self._columns: dict = {}
-
-    def has_column(self, dest) -> bool:
-        return dest in self._columns
 
     def column(self, dest) -> list:
         col = self._columns.get(dest)
@@ -63,12 +60,12 @@ class RoutingTable:
         return col
 
     def get(self, neighbor, dest) -> float:
-        return self.column(dest)[self._index[neighbor]]
+        return self.column(dest)[self.index[neighbor]]
 
     def set(self, neighbor, dest, value: float):
         if value < 0:
             raise RoutingError("table entries must be >= 0")
-        self.column(dest)[self._index[neighbor]] = value
+        self.column(dest)[self.index[neighbor]] = value
 
     def set_column(self, dest, values):
         if len(values) != len(self.neighbors):
@@ -104,7 +101,7 @@ class RoutingTable:
         if exclude:
             masked = list(weights)
             for n in exclude:
-                i = self._index.get(n)
+                i = self.index.get(n)
                 if i is not None:
                     masked[i] = 0.0
             if any(w > 0 for w in masked):
@@ -130,43 +127,24 @@ class RoutingTable:
 
 @dataclass
 class Ant:
-    """A forward or backward agent riding inside frames.
+    """A forward agent riding inside frames.
 
-    `path` records (node, time) hops for full-path protocols. `memory` is the
-    bounded two-slot visited window used by the pheromone family; it always
-    contains the most recent nodes including the current one.
+    `path` records the (node, time) hops so far, the current node last; its
+    length is the hop count. Full-path protocols exclude every visited node,
+    the pheromone family only the last two.
     """
     uid: int
-    kind: str                       # "forward" or "backward"
-    source: int
-    launched_at: float
     path: list = field(default_factory=list)
-    memory: deque = field(default_factory=lambda: deque(maxlen=2))
-    hops: int = 0
     e_min: float = math.inf
     e_sum: float = 0.0
     e_count: int = 0
-    trip_time: float = 0.0
-    reward: float = 0.0
 
     def visit(self, node: int, time: float):
         self.path.append((node, time))
-        self.memory.append(node)
-        self.hops += 1
 
     def fork(self) -> "Ant":
         """Independent copy; flooded ants diverge per receiver."""
-        twin = Ant(uid=self.uid, kind=self.kind, source=self.source,
-                   launched_at=self.launched_at)
-        twin.path = list(self.path)
-        twin.memory = deque(self.memory, maxlen=self.memory.maxlen)
-        twin.hops = self.hops
-        twin.e_min = self.e_min
-        twin.e_sum = self.e_sum
-        twin.e_count = self.e_count
-        twin.trip_time = self.trip_time
-        twin.reward = self.reward
-        return twin
+        return Ant(self.uid, list(self.path), self.e_min, self.e_sum, self.e_count)
 
     def record_energy(self, residual: float):
         if residual < self.e_min:
@@ -184,21 +162,16 @@ class Ant:
         return [n for n, _ in self.path]
 
 
-@dataclass
-class AntCacheRecord:
-    ant_uid: int
-    previous: int            # node the ant arrived from (-1 at the source)
-    forward: int             # node the ant was sent to
-    created_at: float
-    expires_at: float
-
-
 class AntCache:
     """Per-node memory of forward ants that passed through.
 
     Serves two duties: an ant seen twice before its record expires is looping
     and must die, and a backward ant consults the record to retrace the
     forward path one hop upstream.
+
+    A record is (previous node, expiry time). The timeout is fixed and the
+    clock never goes back, so keeping records in insertion order keeps them
+    in expiry order, and `expire` only looks at the front.
     """
 
     def __init__(self, timeout: float):
@@ -208,24 +181,28 @@ class AntCache:
         self._records: dict = {}
 
     def expire(self, now: float):
-        dead = [uid for uid, rec in self._records.items() if rec.expires_at <= now]
-        for uid in dead:
-            del self._records[uid]
+        records = self._records
+        while records:
+            uid = next(iter(records))
+            if records[uid][1] > now:
+                return
+            del records[uid]
 
     def seen(self, ant_uid: int, now: float) -> bool:
         rec = self._records.get(ant_uid)
-        return rec is not None and rec.expires_at > now
+        return rec is not None and rec[1] > now
 
-    def remember(self, ant_uid: int, previous: int, forward: int, now: float):
-        self._records[ant_uid] = AntCacheRecord(
-            ant_uid=ant_uid, previous=previous, forward=forward,
-            created_at=now, expires_at=now + self.timeout)
+    def remember(self, ant_uid: int, previous: int, now: float):
+        """Record the node the ant arrived from (-1 at its source)."""
+        self._records.pop(ant_uid, None)   # a re-remembered uid moves to the back
+        self._records[ant_uid] = (previous, now + self.timeout)
 
     def lookup(self, ant_uid: int, now: float):
+        """The node the ant arrived from, or None once its record expired."""
         rec = self._records.get(ant_uid)
-        if rec is None or rec.expires_at <= now:
+        if rec is None or rec[1] <= now:
             return None
-        return rec
+        return rec[0]
 
     def forget(self, ant_uid: int):
         self._records.pop(ant_uid, None)

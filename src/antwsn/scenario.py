@@ -23,7 +23,6 @@ class Topology:
     side: float
     tx_radius: float
     neighbors: list = field(default_factory=list)  # sorted neighbor id lists
-    sink_id: int | None = None
 
     @property
     def n(self) -> int:

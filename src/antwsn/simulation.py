@@ -121,7 +121,6 @@ class Simulation:
             start = (self.rng.mobility.uniform() * side,
                      self.rng.mobility.uniform() * side)
         self.sink_node = self.topology.nearest_node(start)
-        self.topology.sink_id = self.sink_node
 
     def _schedule_traffic(self):
         cfg = self.cfg
@@ -163,7 +162,6 @@ class Simulation:
             if new != self.sink_node:
                 old = self.sink_node
                 self.sink_node = new
-                self.topology.sink_id = new
                 self.count("sink_rebinds")
                 self.protocol.on_sink_changed(old, new)
         self.kernel.schedule(ev.time + self.cfg.sink_update_period, kernel.SINK_MOVE)
@@ -236,7 +234,6 @@ class Simulation:
         self.counters["frames_sent"] = self.medium.frames_sent
         self.counters["frames_delivered"] = self.medium.frames_delivered
         self.counters["collisions"] = self.medium.collisions
-        self.counters["mac_dropped_busy"] = self.medium.dropped_busy
 
         return RunResult(
             protocol=cfg.protocol,

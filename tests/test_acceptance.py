@@ -190,9 +190,7 @@ def test_c3_selection_distribution_and_deposit_monotonicity():
     draws = 100_000
     hits = {1: 0, 2: 0, 3: 0}
     for _ in range(draws):
-        ant = Ant(uid=1, kind="forward", source=0, launched_at=0.0)
-        ant.visit(0, 0.0)
-        hits[proto._pick_next(0, ant)] += 1
+        hits[proto._pick_next(0, ())] += 1
     tv = 0.5 * sum(abs(hits[n] / draws - p) for n, p in zip(cands, expected))
 
     grid = [trail_deposit(30.0, 20.0, 25.0, h, 1.0) for h in range(1, 21)]
@@ -229,8 +227,7 @@ def test_c5_cyclic_ants_die_within_one_lap():
         sim = Simulation(cfg, from_points(RING4, tx_radius=31.0))
         s = sim.sink_node
         walk = [(s + 1) % 4, (s + 2) % 4, (s + 3) % 4]
-        ant = Ant(uid=sim.new_ant_uid(), kind="forward", source=walk[0],
-                  launched_at=0.0)
+        ant = Ant(uid=sim.new_ant_uid())
         prev = s
         # drive the ant one full lap; the revisit must kill it
         for node in walk + [walk[0]]:

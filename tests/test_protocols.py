@@ -49,7 +49,7 @@ class TestBasicAntTrace:
     def test_dead_end_destroys_ant(self):
         sim = build_sim("babr", LINE3, sink=2)
         sim.protocol.start()
-        ant = Ant(uid=sim.new_ant_uid(), kind="forward", source=1, launched_at=0.0)
+        ant = Ant(uid=sim.new_ant_uid())
         ant.visit(2, 0.0)
         ant.visit(0, 0.0)
         ant.visit(1, 0.0)
@@ -130,7 +130,7 @@ class TestFloodedData:
         sim = build_sim("fp", LINE3, sink=2)
         packet = DataPacket(uid=7, origin=0, created_at=0.0, ttl=12)
         for src in (1, 1):
-            ant = Ant(uid=sim.new_ant_uid(), kind="data", source=0, launched_at=0.0)
+            ant = Ant(uid=sim.new_ant_uid())
             ant.visit(0, 0.0)
             frame = Frame(src=src, dst=BROADCAST, kind=DATA_ANT, size_bits=560,
                           payload={"packet": packet, "ant": ant})
@@ -140,7 +140,7 @@ class TestFloodedData:
 
     def test_oversized_visited_list_is_a_loop(self):
         sim = build_sim("fp", LINE3, sink=2)
-        ant = Ant(uid=1, kind="data", source=0, launched_at=0.0)
+        ant = Ant(uid=1)
         for node in (0, 1, 0, 1):
             ant.visit(node, 0.0)
         assert sim.protocol._flood_overflow(ant) is True
@@ -153,19 +153,24 @@ class TestFloodedData:
 class TestPheromoneSelection:
     def test_memory_is_hard_excluded(self):
         sim = build_sim("eeabr", STAR4, sink=3)
-        ant = Ant(uid=1, kind="forward", source=1, launched_at=0.0)
-        ant.visit(1, 0.0)
-        picks = {sim.protocol._pick_next(0, ant) for _ in range(100)}
-        assert 1 not in picks
-        assert picks <= {2, 3}
+        sent = log_sends(sim)
+        for _ in range(100):
+            ant = Ant(uid=sim.new_ant_uid())
+            ant.visit(2, 0.0)
+            ant.visit(1, 0.0)
+            sim.protocol._advance(0, ant, previous=1)
+        # the memory holds the last two nodes (1 and 0); node 2 is older
+        assert {f.dst for f in sent if f.kind == FORWARD_ANT} == {2, 3}
 
     def test_exhausted_memory_is_a_dead_end(self):
         sim = build_sim("eeabr", LINE3, sink=2)
-        ant = Ant(uid=1, kind="forward", source=0, launched_at=0.0)
+        sent = log_sends(sim)
+        ant = Ant(uid=1)
         ant.visit(1, 0.0)
-        ant.visit(2, 0.0)
-        # node 2's only neighbor is node 1, which the ant still remembers
-        assert sim.protocol._pick_next(2, ant) is None
+        # node 0's only neighbor is node 1, which the ant still remembers
+        sim.protocol._advance(0, ant, previous=1)
+        assert sim.counters["fwd_ants_dead_end"] == 1
+        assert sent == []
 
     def test_bound_sink_is_scored_at_full_headroom(self):
         sim = build_sim("eeabr", STAR4, sink=3)
@@ -176,12 +181,12 @@ class TestPheromoneSelection:
 
     def test_loop_is_killed_on_second_visit(self):
         sim = build_sim("eeabr", LINE3, sink=2)
-        ant = Ant(uid=77, kind="forward", source=0, launched_at=0.0)
+        ant = Ant(uid=77)
         ant.visit(0, 0.0)
         frame = Frame(src=0, dst=1, kind=FORWARD_ANT, size_bits=160,
                       payload={"ant": ant})
         sim.protocol._on_forward_ant(1, frame)
-        again = Ant(uid=77, kind="forward", source=0, launched_at=0.0)
+        again = Ant(uid=77)
         again.visit(0, 0.0)
         frame2 = Frame(src=0, dst=1, kind=FORWARD_ANT, size_bits=160,
                        payload={"ant": again})
@@ -191,7 +196,7 @@ class TestPheromoneSelection:
     def test_backward_ant_updates_trail_and_retraces(self):
         sim = build_sim("eeabr", LINE3, sink=2)
         proto = sim.protocol
-        proto.caches[1].remember(5, previous=-1, forward=2, now=0.0)
+        proto.caches[1].remember(5, previous=-1, now=0.0)
         frame = Frame(src=2, dst=1, kind=BACKWARD_ANT, size_bits=160,
                       payload={"uid": 5, "dtau": 0.2, "bd": 1})
         proto._on_backward_ant(1, frame)

@@ -74,11 +74,6 @@ class TestEnergyLedger:
 
 
 class TestFrame:
-    def test_uids_are_unique(self):
-        a = Frame(src=0, dst=1, kind="data", size_bits=8)
-        b = Frame(src=0, dst=1, kind="data", size_bits=8)
-        assert a.uid != b.uid
-
     def test_zero_size_rejected(self):
         with pytest.raises(ValueError):
             Frame(src=0, dst=1, kind="data", size_bits=0)
@@ -114,7 +109,8 @@ class TestMedium:
         f = Frame(src=0, dst=1, kind="data", size_bits=1000)
         medium.send(f)
         sim.run_until(1.0)
-        assert [(n, fr.uid) for n, fr in log["delivered"]] == [(1, f.uid)]
+        [(node, fr)] = log["delivered"]
+        assert node == 1 and fr is f
         assert ledger.spent["tx"][0] == pytest.approx(1e-3)
         assert ledger.spent["rx"][1] == pytest.approx(5e-4)
         # idle drain between events rounds in the last bits; the books must
@@ -148,7 +144,7 @@ class TestMedium:
         medium.send(fc)
         sim.run_until(1.0)
         assert log["delivered"] == []
-        assert {f.uid for f, _ in log["undelivered"]} == {fa.uid, fc.uid}
+        assert {id(f) for f, _ in log["undelivered"]} == {id(fa), id(fc)}
         assert medium.collisions == 1
         # the collided receiver decoded nothing and is not charged for it
         assert ledger.spent["rx"][1] == 0.0
@@ -161,8 +157,8 @@ class TestMedium:
         sim.on("poke", lambda ev: medium.send(short))
         sim.schedule(0.05, "poke")
         sim.run_until(2.0)
-        delivered = {fr.uid for _, fr in log["delivered"]}
-        assert delivered == {long.uid, short.uid}
+        delivered = {id(fr) for _, fr in log["delivered"]}
+        assert delivered == {id(long), id(short)}
         assert medium.dropped_busy == 0
 
     def test_busy_drop_when_retries_exhausted(self):
@@ -203,7 +199,8 @@ class TestMedium:
         medium.send(f1)
         medium.send(f2)
         sim.run_until(1.0)
-        assert [fr.uid for _, fr in log["delivered"]] == [f1.uid, f2.uid]
+        [(_, first), (_, second)] = log["delivered"]
+        assert first is f1 and second is f2
 
     def test_idle_draw_settles(self):
         sim, medium, ledger, _ = build_medium([(0, 0), (20, 0)])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from antwsn.routing import (Ant, AntCache, PHEROMONE, PROBABILITY,
                             RoutingError, RoutingTable, TripModel)
@@ -108,15 +110,14 @@ class TestRoutingTable:
 
 class TestAnt:
     def test_visit_tracks_path_and_memory(self):
-        ant = Ant(uid=1, kind="forward", source=0, launched_at=0.0)
+        ant = Ant(uid=1)
         for node, t in ((0, 0.0), (3, 0.1), (5, 0.2)):
             ant.visit(node, t)
         assert ant.path_nodes() == [0, 3, 5]
-        assert list(ant.memory) == [3, 5]   # only the last two survive
-        assert ant.hops == 3
+        assert ant.path == [(0, 0.0), (3, 0.1), (5, 0.2)]
 
     def test_energy_statistics(self):
-        ant = Ant(uid=1, kind="forward", source=0, launched_at=0.0)
+        ant = Ant(uid=1)
         ant.record_energy(10.0)
         ant.record_energy(4.0)
         ant.record_energy(7.0)
@@ -124,11 +125,11 @@ class TestAnt:
         assert ant.e_avg == pytest.approx(7.0)
 
     def test_e_avg_defined_before_any_sample(self):
-        ant = Ant(uid=1, kind="forward", source=0, launched_at=0.0)
+        ant = Ant(uid=1)
         assert ant.e_avg == 0.0
 
     def test_fork_is_independent(self):
-        ant = Ant(uid=1, kind="forward", source=0, launched_at=0.0)
+        ant = Ant(uid=1)
         ant.visit(0, 0.0)
         twin = ant.fork()
         twin.visit(9, 1.0)
@@ -140,14 +141,13 @@ class TestAnt:
 class TestAntCache:
     def test_remember_seen_lookup(self):
         cache = AntCache(timeout=3.0)
-        cache.remember(42, previous=1, forward=2, now=0.0)
+        cache.remember(42, previous=1, now=0.0)
         assert cache.seen(42, 1.0)
-        rec = cache.lookup(42, 1.0)
-        assert (rec.previous, rec.forward) == (1, 2)
+        assert cache.lookup(42, 1.0) == 1
 
     def test_timeout_expires_records(self):
         cache = AntCache(timeout=3.0)
-        cache.remember(42, previous=1, forward=2, now=0.0)
+        cache.remember(42, previous=1, now=0.0)
         assert not cache.seen(42, 3.0)
         assert cache.lookup(42, 3.5) is None
         cache.expire(3.0)
@@ -155,13 +155,64 @@ class TestAntCache:
 
     def test_forget(self):
         cache = AntCache(timeout=3.0)
-        cache.remember(7, previous=-1, forward=1, now=0.0)
+        cache.remember(7, previous=-1, now=0.0)
         cache.forget(7)
         assert not cache.seen(7, 0.1)
 
     def test_bad_timeout(self):
         with pytest.raises(RoutingError):
             AntCache(timeout=0.0)
+
+    @given(timeout=st.sampled_from([0.5, 1.0, 2.0]),
+           ops=st.lists(st.tuples(
+               st.sampled_from(["remember", "remember", "forget", "expire",
+                                "expire", "seen", "lookup"]),
+               st.integers(0, 3), st.integers(-1, 3),
+               st.sampled_from([0.0, 0.0, 0.25, 0.5])),
+               max_size=40))
+    def test_front_expiry_matches_a_full_scan(self, timeout, ops):
+        cache, ref = AntCache(timeout), ScanCache(timeout)
+        now = 0.0
+        for op, uid, previous, dt in ops:
+            now += dt
+            if op == "remember":
+                cache.remember(uid, previous, now)
+                ref.remember(uid, previous, now)
+            elif op == "forget":
+                cache.forget(uid)
+                ref.forget(uid)
+            elif op == "expire":
+                cache.expire(now)
+                ref.expire(now)
+            else:
+                assert getattr(cache, op)(uid, now) == getattr(ref, op)(uid, now)
+            assert len(cache) == len(ref.records)
+
+
+class ScanCache:
+    """Reference ant cache: `expire` scans every record."""
+
+    def __init__(self, timeout):
+        self.timeout = timeout
+        self.records = {}
+
+    def expire(self, now):
+        for uid in [u for u, (_, t) in self.records.items() if t <= now]:
+            del self.records[uid]
+
+    def seen(self, uid, now):
+        rec = self.records.get(uid)
+        return rec is not None and rec[1] > now
+
+    def remember(self, uid, previous, now):
+        self.records[uid] = (previous, now + self.timeout)
+
+    def lookup(self, uid, now):
+        rec = self.records.get(uid)
+        return None if rec is None or rec[1] <= now else rec[0]
+
+    def forget(self, uid):
+        self.records.pop(uid, None)
 
 
 class TestTripModel:
