@@ -13,8 +13,8 @@ from .harness import (ExperimentPlan, ResultTable, cell_seed, load_plan,
 from .kernel import RandomStream, RandomStreams, SchedulingError, Simulator
 from .metrics import RunMetrics
 from .protocols import PROTOCOLS, make_protocol
-from .radio import (EnergyLedger, EnergyParams, Frame, MacParams, Medium,
-                    RadioParams, ideal_reception, perturbed_reception)
+from .radio import (EnergyLedger, Frame, Medium, ideal_reception,
+                    perturbed_reception)
 from .routing import Ant, AntCache, RoutingError, RoutingTable, TripModel
 from .scenario import (SinkTrajectory, Topology, TopologyError, from_points,
                        make_grid, make_random_square, make_trajectory)
@@ -23,10 +23,9 @@ from .simulation import RunResult, Simulation, run_single
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ant", "AntCache", "ConfigError", "EnergyLedger", "EnergyParams",
-    "ExperimentPlan", "Frame", "MacParams", "Medium", "PROTOCOLS",
-    "RadioParams", "RandomStream", "RandomStreams", "ResultTable",
-    "RoutingError", "RoutingTable", "RunMetrics", "RunResult",
+    "Ant", "AntCache", "ConfigError", "EnergyLedger", "ExperimentPlan",
+    "Frame", "Medium", "PROTOCOLS", "RandomStream", "RandomStreams",
+    "ResultTable", "RoutingError", "RoutingTable", "RunMetrics", "RunResult",
     "SchedulingError", "SimConfig", "Simulation", "Simulator",
     "SinkTrajectory", "Topology", "TopologyError", "TripModel", "cell_seed",
     "from_points", "ideal_reception", "load_config", "load_plan", "make_grid",

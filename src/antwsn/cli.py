@@ -2,13 +2,15 @@
 
 Subcommands: `run` simulates one scenario, `sweep` executes a plan file of
 seeded replicate grids, `dump-table` prints a node's routing table after a
-run. Exit codes: 0 success, 1 configuration problem, 2 simulation failure.
+run. Exit codes: 0 success, 1 configuration problem, 2 simulation failure
+(a topology that cannot be built, or an internal error with its traceback).
 """
 
 import argparse
 import dataclasses
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from .config import ConfigError, SimConfig, load_config
@@ -130,8 +132,8 @@ def main(argv=None) -> int:
     except (TopologyError, OSError) as exc:
         print(f"simulation failure: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # anything else is a failed run, not a crash report
-        print(f"simulation failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except Exception:  # input is checked up front, so anything else is a bug
+        traceback.print_exc()
         return 2
 
 

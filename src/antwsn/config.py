@@ -43,15 +43,15 @@ class SimConfig:
     tx_radius: float = 35.0
     rx_threshold: float | None = None       # None: derived from tx_radius
     # MAC / link
-    bitrate: float = 40_000.0
-    cw_init: int = 32
+    bitrate: float = 40_000.0               # bit/s
+    cw_init: int = 32                       # first backoff window, in frame airtimes
     max_retries: int = 5
     ant_frame_bytes: int = 20
     data_frame_bytes: int = 50
     # energy model
-    e_tx_per_bit: float = 1e-6
-    e_rx_per_bit: float = 5e-7
-    e_idle_per_s: float = 0.0
+    e_tx_per_bit: float = 1e-6              # J/bit
+    e_rx_per_bit: float = 5e-7              # J/bit
+    e_idle_per_s: float = 0.0               # J/s
     # ant machinery
     ant_interval: float = 2.0
     cache_timeout: float = 3.0
@@ -101,10 +101,30 @@ class SimConfig:
             raise ConfigError("traffic_rate must be > 0")
         if self.initial_energy is not None and self.initial_energy <= 0:
             raise ConfigError("initial_energy must be > 0")
+        if self.max_topology_retries < 1:
+            raise ConfigError("max_topology_retries must be >= 1")
+        if self.sink_update_period <= 0:
+            raise ConfigError("sink_update_period must be > 0")
+        if self.p_transmit <= 0:
+            raise ConfigError("p_transmit must be > 0")
         if not (2.0 <= self.gamma <= 4.0):
             raise ConfigError("gamma must lie in [2, 4]")
         if self.sigma_alpha < 0 or self.sigma_beta < 0:
             raise ConfigError("disturbance sigmas must be >= 0")
+        if self.tx_radius <= 0:
+            raise ConfigError("tx_radius must be > 0")
+        if self.rx_threshold is not None and self.rx_threshold <= 0:
+            raise ConfigError("rx_threshold must be > 0")
+        if self.bitrate <= 0:
+            raise ConfigError("bitrate must be > 0")
+        if self.cw_init < 1 or self.max_retries < 0:
+            raise ConfigError("cw_init must be >= 1 and max_retries >= 0")
+        if self.ant_frame_bytes < 1 or self.data_frame_bytes < 1:
+            raise ConfigError("ant_frame_bytes and data_frame_bytes must be >= 1")
+        if min(self.e_tx_per_bit, self.e_rx_per_bit, self.e_idle_per_s) < 0:
+            raise ConfigError("energy rates must be >= 0")
+        if self.ff_delay_max < 0:
+            raise ConfigError("ff_delay_max must be >= 0")
         if abs(self.c1 + self.c2 - 1.0) > 1e-9:
             raise ConfigError("reinforcement weights c1 + c2 must equal 1")
         if not (0 < self.eta < 1):
@@ -152,14 +172,13 @@ class SimConfig:
         return SimConfig(**vals)
 
 
+_FIELD_NAMES = {f.name for f in fields(SimConfig)}
 # Annotations may surface as type objects or as strings depending on how the
 # module is evaluated; accept both spellings.
-_FIELD_TYPES = {f.name: f.type for f in fields(SimConfig)}
 _INT_FIELDS = {f.name for f in fields(SimConfig)
                if f.type in (int, int | None, "int", "int | None")}
 _FLOAT_FIELDS = {f.name for f in fields(SimConfig)
                  if f.type in (float, float | None, "float", "float | None")}
-_STR_FIELDS = {f.name for f in fields(SimConfig) if f.type in (str, "str")}
 
 
 def _convert(key: str, raw: str):
@@ -197,10 +216,9 @@ def parse_kv_text(text: str) -> dict:
 
 
 def config_from_mapping(mapping: dict) -> SimConfig:
-    known = set(_FIELD_TYPES)
     values = {}
     for key, raw in mapping.items():
-        if key not in known:
+        if key not in _FIELD_NAMES:
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = _convert(key, raw) if isinstance(raw, str) else raw
     return SimConfig(**values)

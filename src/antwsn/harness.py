@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .config import (ConfigError, PROTOCOL_NAMES, SCENARIOS, SimConfig,
                      _convert, config_from_mapping, parse_kv_text)
-from .simulation import RunResult, Simulation
+from .simulation import run_single
 
 CSV_COLUMNS = ("run_id", "protocol", "nodes", "scenario", "replicate",
                "latency_s", "success_rate_pct", "energy_J",
@@ -75,18 +75,6 @@ def cell_seed(base_seed: int, protocol: str, nodes: int, scenario: str,
               replicate: int) -> int:
     key = f"{base_seed}:{protocol}:{nodes}:{scenario}:{replicate}".encode()
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
-
-
-def _run_cell(args) -> RunResult:
-    plan_fields, cell = args
-    plan = ExperimentPlan(**plan_fields)
-    return Simulation(plan.cell_config(*cell)).run()
-
-
-def _plan_fields(plan: ExperimentPlan) -> dict:
-    return {"protocols": plan.protocols, "node_counts": plan.node_counts,
-            "scenarios": plan.scenarios, "replicates": plan.replicates,
-            "base_seed": plan.base_seed, "overrides": plan.overrides}
 
 
 class ResultTable:
@@ -209,16 +197,12 @@ def run_experiment(plan: ExperimentPlan, parallel: int = 0) -> ResultTable:
     re-assembled in plan order after completion.
     """
     cells = plan.cells()
-    results = {}
+    configs = [plan.cell_config(*cell) for cell in cells]
     if parallel and parallel > 1:
-        fields = _plan_fields(plan)
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            for cell, res in zip(cells, pool.map(_run_cell,
-                                                 [(fields, c) for c in cells])):
-                results[cell] = res
+            results = dict(zip(cells, pool.map(run_single, configs)))
     else:
-        for cell in cells:
-            results[cell] = Simulation(plan.cell_config(*cell)).run()
+        results = dict(zip(cells, map(run_single, configs)))
     return ResultTable(plan, results)
 
 

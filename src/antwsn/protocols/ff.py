@@ -40,9 +40,10 @@ class FF(PathReinforceProtocol):
         sim.send_frame(node, BROADCAST, FORWARD_ANT, self.cfg.ant_bits, {"ant": ant})
 
     def on_control_frame(self, node: int, frame):
-        if frame.kind == FORWARD_ANT:
+        # A flood protocol only ever airs its own flood kind and backward ants.
+        if frame.kind != BACKWARD_ANT:
             self._on_flood_frame(node, frame)
-        elif frame.kind == BACKWARD_ANT and frame.dst == node:
+        elif frame.dst == node:
             self._on_backward_ant(node, frame)
 
     # -- flood machinery (shared with the data-ant protocol) ----------------
@@ -67,9 +68,8 @@ class FF(PathReinforceProtocol):
         if not self._want_rebroadcast(node, frame.src):
             return
         delay = sim.rng.protocol.uniform() * self.cfg.ff_delay_max
-        payload = self._flood_payload(mine, frame)
         ev = sim.schedule_timer(sim.now + delay, node, REBROADCAST,
-                                (frame.kind, mine.uid, payload))
+                                (frame.kind, mine.uid, {**frame.payload, "ant": mine}))
         self._pending[(node, mine.uid)] = ev
 
     def _flood_at_sink(self, node: int, frame):
@@ -78,9 +78,6 @@ class FF(PathReinforceProtocol):
         arrived = frame.payload["ant"].fork()
         arrived.visit(node, self.sim.now)
         self._start_backward(node, arrived)
-
-    def _flood_payload(self, ant: Ant, frame) -> dict:
-        return {"ant": ant}
 
     def _flood_overflow(self, ant: Ant) -> bool:
         return False

@@ -4,7 +4,7 @@ flood obeys the same two suppression rules, and every copy reaching the sink
 spawns a path-retracing backward ant. Delivery is counted once per packet.
 """
 
-from ..radio import BACKWARD_ANT, BROADCAST, DATA_ANT
+from ..radio import BROADCAST, DATA_ANT
 from ..routing import Ant
 from .base import DataPacket
 from .ff import FF
@@ -35,12 +35,6 @@ class FP(FF):
         sim.send_frame(node, BROADCAST, DATA_ANT, self._flood_bits(DATA_ANT),
                        {"packet": packet, "ant": ant})
 
-    def on_control_frame(self, node: int, frame):
-        if frame.kind == DATA_ANT:
-            self._on_flood_frame(node, frame)
-        elif frame.kind == BACKWARD_ANT and frame.dst == node:
-            self._on_backward_ant(node, frame)
-
     def _flood_at_sink(self, node: int, frame):
         sim = self.sim
         packet = frame.payload["packet"]
@@ -48,9 +42,6 @@ class FP(FF):
             self._delivered.add(packet.uid)
             sim.record_delivered(packet.created_at, sim.now)
         super()._flood_at_sink(node, frame)
-
-    def _flood_payload(self, ant: Ant, frame) -> dict:
-        return {"packet": frame.payload["packet"], "ant": ant}
 
     def _flood_overflow(self, ant: Ant) -> bool:
         # A visited list longer than the network has looped somehow.

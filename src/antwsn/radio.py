@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
+from .config import SimConfig
 
 BROADCAST = -1
 
@@ -37,55 +38,6 @@ def perturbed_reception(ideal: float, alpha_draw: float, beta_draw: float) -> fl
     if ideal < 0:
         raise ValueError("ideal power must be >= 0")
     return max(0.0, ideal * (1.0 + alpha_draw) + beta_draw)
-
-
-@dataclass
-class RadioParams:
-    p_transmit: float = 1.0
-    gamma: float = 2.0
-    sigma_alpha: float = 0.05
-    sigma_beta: float = 2e-4
-    tx_radius: float = 35.0
-    rx_threshold: float | None = None  # None: derived so the zero-noise audible set is the tx_radius disk
-
-    def __post_init__(self):
-        if not (2.0 <= self.gamma <= 4.0):
-            raise ValueError(f"gamma must lie in [2, 4], got {self.gamma}")
-        if self.sigma_alpha < 0 or self.sigma_beta < 0:
-            raise ValueError("disturbance sigmas must be >= 0")
-        if self.tx_radius <= 0:
-            raise ValueError("tx_radius must be > 0")
-        if self.rx_threshold is None:
-            self.rx_threshold = ideal_reception(self.p_transmit, self.tx_radius, self.gamma)
-        if self.rx_threshold <= 0:
-            raise ValueError("rx_threshold must be > 0")
-
-
-@dataclass
-class MacParams:
-    bitrate: float = 40_000.0  # bit/s
-    cw_init: int = 32          # initial contention window, in slots of one frame airtime
-    max_retries: int = 5
-
-    def __post_init__(self):
-        if self.bitrate <= 0:
-            raise ValueError("bitrate must be > 0")
-        if self.cw_init < 1 or self.max_retries < 0:
-            raise ValueError("bad MAC parameters")
-
-
-@dataclass
-class EnergyParams:
-    initial: float = 30.0        # J per node
-    e_tx_per_bit: float = 1e-6   # J/bit
-    e_rx_per_bit: float = 5e-7   # J/bit
-    e_idle_per_s: float = 0.0    # J/s
-
-    def __post_init__(self):
-        if self.initial <= 0:
-            raise ValueError("initial energy must be > 0")
-        if min(self.e_tx_per_bit, self.e_rx_per_bit, self.e_idle_per_s) < 0:
-            raise ValueError("energy rates must be >= 0")
 
 
 class EnergyLedger:
@@ -175,6 +127,7 @@ class Medium:
     Responsibilities: carrier-sense MAC with bounded exponential backoff,
     energy debits for transmitters and every audible receiver, collision
     resolution, and delivery of surviving frames to the network layer.
+    Radio, MAC and energy settings are read from `cfg`, already validated.
 
     Callbacks:
       deliver(node, frame)            -- frame survived at `node`
@@ -182,35 +135,32 @@ class Medium:
       on_mac_drop(frame, reason)      -- frame never aired ('busy', 'energy', 'dead')
     """
 
-    def __init__(self, sim, positions, radio: RadioParams, mac: MacParams,
-                 ledger: EnergyLedger, energy: EnergyParams,
-                 rng_radio, rng_mac, deliver,
-                 on_undelivered=None, on_mac_drop=None):
+    def __init__(self, sim, positions, cfg: SimConfig, ledger: EnergyLedger,
+                 rng_radio, rng_mac, deliver, on_undelivered, on_mac_drop):
         self.sim = sim
-        self.radio = radio
-        self.mac = mac
+        self.cfg = cfg
         self.ledger = ledger
-        self.energy = energy
         self.rng_radio = rng_radio
         self.rng_mac = rng_mac
         self.deliver = deliver
         self.on_undelivered = on_undelivered
         self.on_mac_drop = on_mac_drop
+        # None: the zero-noise audible set is exactly the tx_radius disk.
+        self.rx_threshold = (cfg.rx_threshold if cfg.rx_threshold is not None else
+                             ideal_reception(cfg.p_transmit, cfg.tx_radius, cfg.gamma))
 
         pos = np.asarray(positions, dtype=float)
         self.n = len(pos)
         diff = pos[:, None, :] - pos[None, :, :]
         self.dist = np.sqrt((diff**2).sum(axis=2))
-        self.ideal = radio.p_transmit / (1.0 + self.dist**radio.gamma)
+        self.ideal = cfg.p_transmit / (1.0 + self.dist**cfg.gamma)
         # Geometric disk used for carrier sensing (deterministic by design).
-        self.in_range = self.dist <= radio.tx_radius
+        self.in_range = self.dist <= cfg.tx_radius
         np.fill_diagonal(self.in_range, False)
 
         self._mac = [_MacState() for _ in range(self.n)]
         self._inflight = []
         self._last_idle = np.zeros(self.n)
-        self.dropped_busy = 0
-        self.dropped_energy = 0
         self.collisions = 0
         self.frames_sent = 0
         self.frames_delivered = 0
@@ -223,7 +173,7 @@ class Medium:
 
     def settle_idle(self, node: int):
         """Debit idle draw accrued since the last settlement for `node`."""
-        rate = self.energy.e_idle_per_s
+        rate = self.cfg.e_idle_per_s
         now = self.sim.now()
         if rate > 0.0 and self.ledger.alive(node):
             dt = now - self._last_idle[node]
@@ -236,7 +186,7 @@ class Medium:
             self.settle_idle(node)
 
     def airtime(self, frame: Frame) -> float:
-        return frame.size_bits / self.mac.bitrate
+        return frame.size_bits / self.cfg.bitrate
 
     # -- MAC ------------------------------------------------------------
 
@@ -244,7 +194,7 @@ class Medium:
         """Queue a frame at its source; the MAC airs queued frames in order."""
         st = self._mac[frame.src]
         if not self.ledger.alive(frame.src):
-            self._drop(frame, "dead")
+            self.on_mac_drop(frame, "dead")
             return
         st.queue.append(frame)
         if not st.busy:
@@ -252,18 +202,10 @@ class Medium:
             st.attempts = 0
             self._attempt(frame.src)
 
-    def _drop(self, frame, reason):
-        if reason == "busy":
-            self.dropped_busy += 1
-        elif reason == "energy":
-            self.dropped_energy += 1
-        if self.on_mac_drop is not None:
-            self.on_mac_drop(frame, reason)
-
     def _flush_dead(self, node):
         st = self._mac[node]
         for frame in st.queue:
-            self._drop(frame, "dead")
+            self.on_mac_drop(frame, "dead")
         st.queue.clear()
         st.busy = False
 
@@ -285,13 +227,13 @@ class Medium:
         frame = st.queue[0]
         if self._channel_busy(node):
             st.attempts += 1
-            if st.attempts > self.mac.max_retries:
+            if st.attempts > self.cfg.max_retries:
                 st.queue.pop(0)
-                self._drop(frame, "busy")
+                self.on_mac_drop(frame, "busy")
                 st.attempts = 0
                 self._attempt(node)
                 return
-            window = self.mac.cw_init * (2 ** (st.attempts - 1))
+            window = self.cfg.cw_init * (2 ** (st.attempts - 1))
             slots = self.rng_mac.randint(1, window)
             delay = slots * self.airtime(frame)
             self.sim.schedule(self.sim.now() + delay, kernel.MAC_RETRY, node)
@@ -309,12 +251,12 @@ class Medium:
             return
         frame = st.queue[0]
         self.settle_idle(node)
-        cost = self.energy.e_tx_per_bit * frame.size_bits
+        cost = self.cfg.e_tx_per_bit * frame.size_bits
         debited = self.ledger.charge(node, "tx", cost)
         if debited < cost:
             # Ran out of juice mid-charge: node is now dead, frame never airs.
             st.queue.pop(0)
-            self._drop(frame, "energy")
+            self.on_mac_drop(frame, "energy")
             self._flush_dead(node)
             return
         now = self.sim.now()
@@ -329,16 +271,16 @@ class Medium:
     def _audible(self, src) -> np.ndarray:
         """Who can hear this transmission: perturbed power over threshold, alive,
         not the sender, and not currently transmitting themselves."""
-        r = self.radio
+        cfg = self.cfg
         ideal = self.ideal[src]
-        if r.sigma_alpha > 0.0:
-            power = ideal * (1.0 + self.rng_radio.normals(r.sigma_alpha, self.n))
+        if cfg.sigma_alpha > 0.0:
+            power = ideal * (1.0 + self.rng_radio.normals(cfg.sigma_alpha, self.n))
         else:
             power = ideal.copy()
-        if r.sigma_beta > 0.0:
-            power += self.rng_radio.normals(r.sigma_beta, self.n)
+        if cfg.sigma_beta > 0.0:
+            power += self.rng_radio.normals(cfg.sigma_beta, self.n)
         np.maximum(power, 0.0, out=power)
-        cand = (power >= r.rx_threshold) & self.ledger.alive_mask()
+        cand = (power >= self.rx_threshold) & self.ledger.alive_mask()
         cand[src] = False
         now = self.sim.now()
         for i in range(self.n):
@@ -365,7 +307,7 @@ class Medium:
         self._inflight.remove(tr)
         receivers = tr.candidates & ~tr.lost
         delivered = []
-        rx_cost = self.energy.e_rx_per_bit * tr.frame.size_bits
+        rx_cost = self.cfg.e_rx_per_bit * tr.frame.size_bits
         for node in np.flatnonzero(receivers):
             node = int(node)
             if not self.ledger.alive(node):
@@ -379,8 +321,7 @@ class Medium:
         # failures in channel order.
         frame = tr.frame
         if frame.dst != BROADCAST and frame.dst not in delivered:
-            if self.on_undelivered is not None:
-                self.on_undelivered(frame, not self.ledger.alive(frame.dst))
+            self.on_undelivered(frame, not self.ledger.alive(frame.dst))
         for node in delivered:
             self.frames_delivered += 1
             self.deliver(node, frame)

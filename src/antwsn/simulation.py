@@ -13,7 +13,7 @@ from .config import SimConfig
 from .kernel import RandomStreams, Simulator
 from .metrics import RunMetrics
 from .protocols import make_protocol
-from .radio import EnergyLedger, EnergyParams, Frame, MacParams, Medium, RadioParams
+from .radio import EnergyLedger, Frame, Medium
 from .scenario import (Topology, make_grid, make_random_square, make_trajectory,
                        traffic_schedule)
 
@@ -71,15 +71,7 @@ class Simulation:
 
         self.ledger = EnergyLedger(self.topology.n, cfg.energy_budget)
         self.medium = Medium(
-            self.kernel, self.topology.positions,
-            RadioParams(p_transmit=cfg.p_transmit, gamma=cfg.gamma,
-                        sigma_alpha=cfg.sigma_alpha, sigma_beta=cfg.sigma_beta,
-                        tx_radius=cfg.tx_radius, rx_threshold=cfg.rx_threshold),
-            MacParams(bitrate=cfg.bitrate, cw_init=cfg.cw_init,
-                      max_retries=cfg.max_retries),
-            self.ledger,
-            EnergyParams(initial=cfg.energy_budget, e_tx_per_bit=cfg.e_tx_per_bit,
-                         e_rx_per_bit=cfg.e_rx_per_bit, e_idle_per_s=cfg.e_idle_per_s),
+            self.kernel, self.topology.positions, cfg, self.ledger,
             self.rng.radio, self.rng.mac,
             deliver=self._deliver,
             on_undelivered=self._undelivered,

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from antwsn.cli import main
+from antwsn.config import ConfigError, config_from_mapping
 
 FAST = ["--nodes", "9", "--layout", "grid", "--duration", "8", "--seed", "3"]
 
@@ -68,12 +69,40 @@ class TestRun:
         assert code == 1
         assert "config error" in err
 
+    @pytest.mark.parametrize("line", [
+        "p_transmit = 0", "tx_radius = 0", "rx_threshold = -1", "bitrate = 0",
+        "cw_init = 0", "max_retries = -1", "e_tx_per_bit = -1",
+        "e_rx_per_bit = -1", "e_idle_per_s = -1", "ff_delay_max = -1",
+        "ant_frame_bytes = 0", "data_frame_bytes = 0",
+        "max_topology_retries = 0",
+    ])
+    def test_out_of_range_value_is_a_config_error(self, capsys, tmp_path, line):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(line + "\n")
+        code, _, err = run_cli(capsys, "run", "--config", str(conf))
+        assert code == 1
+        assert "config error" in err
+
+    def test_zero_sink_update_period_rejected(self):
+        # Checked without a run: a dynamic run with this period never returns.
+        with pytest.raises(ConfigError, match="sink_update_period"):
+            config_from_mapping({"scenario": "dynamic", "sink_update_period": "0"})
+
     def test_disconnected_grid_is_a_simulation_failure(self, capsys, tmp_path):
         conf = tmp_path / "sparse.conf"
         conf.write_text("nodes = 9\nlayout = grid\ngrid_spacing = 40\n")
         code, _, err = run_cli(capsys, "run", "--config", str(conf))
         assert code == 2
         assert "simulation failure" in err
+
+    def test_internal_error_prints_traceback(self, capsys, monkeypatch):
+        def broken(sim):
+            raise RuntimeError("broken invariant")
+        monkeypatch.setattr("antwsn.cli.Simulation.run", broken)
+        code, _, err = run_cli(capsys, "run", *FAST)
+        assert code == 2
+        assert err.startswith("Traceback")
+        assert "RuntimeError: broken invariant" in err
 
 
 class TestUsageErrors:
@@ -105,6 +134,17 @@ class TestSweep:
         assert out.count("wrote ") >= 2
         rows = (out_dir / "results.csv").read_text().splitlines()
         assert len(rows) == 1 + 2 + 1   # header, replicates, aggregate
+
+    def test_bad_override_fails_before_any_cell_runs(self, capsys, tmp_path):
+        plan = tmp_path / "bad.plan"
+        plan.write_text("protocols = babr\nnodes = 9\nreplicates = 1\n"
+                        "duration = 8\nlayout = grid\nbitrate = 0\n")
+        out_dir = tmp_path / "sweepout"
+        code, _, err = run_cli(capsys, "sweep", "--plan", str(plan),
+                               "--out", str(out_dir))
+        assert code == 1
+        assert "config error" in err
+        assert not (out_dir / "results.csv").exists()
 
     def test_missing_plan_file(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--plan", "/no/plan",

@@ -90,6 +90,8 @@ class TestValidation:
         dict(c1=0.0, c2=1.0),
         dict(tau0=0.02),
         dict(trip_window=1),
+        dict(cw_init=1, max_retries=0, ff_delay_max=0.0, ant_frame_bytes=1,
+             data_frame_bytes=1, max_topology_retries=1, e_tx_per_bit=0.0),
     ])
     def test_boundaries_accepted(self, ok):
         SimConfig(**ok)

@@ -3,10 +3,10 @@ networks with the disturbance turned off (deterministic radio)."""
 
 import pytest
 
+from antwsn.config import SimConfig
 from antwsn.kernel import RandomStream, Simulator
-from antwsn.radio import (BROADCAST, EnergyLedger, EnergyParams, Frame,
-                          MacParams, Medium, RadioParams, ideal_reception,
-                          perturbed_reception)
+from antwsn.radio import (BROADCAST, EnergyLedger, Frame, Medium,
+                          ideal_reception, perturbed_reception)
 
 
 class TestPropagation:
@@ -29,18 +29,10 @@ class TestPropagation:
         assert perturbed_reception(0.1, -2.0, 0.0) == 0.0
 
     def test_threshold_derived_from_radius(self):
-        r = RadioParams(p_transmit=1.0, gamma=2.0, tx_radius=35.0)
-        assert r.rx_threshold == ideal_reception(1.0, 35.0, 2.0)
-
-    def test_param_validation(self):
-        with pytest.raises(ValueError):
-            RadioParams(gamma=1.5)
-        with pytest.raises(ValueError):
-            RadioParams(sigma_alpha=-0.1)
-        with pytest.raises(ValueError):
-            MacParams(bitrate=0)
-        with pytest.raises(ValueError):
-            EnergyParams(initial=0)
+        _, medium, _, _ = build_medium([(0, 0), (20, 0)])
+        assert medium.rx_threshold == ideal_reception(1.0, 35.0, 2.0)
+        _, medium, _, _ = build_medium([(0, 0), (20, 0)], rx_threshold=0.01)
+        assert medium.rx_threshold == 0.01
 
 
 class TestEnergyLedger:
@@ -79,18 +71,15 @@ class TestFrame:
             Frame(src=0, dst=1, kind="data", size_bits=0)
 
 
-def build_medium(positions, initial=30.0, max_retries=5, seed=1):
-    """Quiet-channel fixture: zero disturbance, logging callbacks."""
+def build_medium(positions, initial=30.0, seed=1, **settings):
+    """Quiet-channel fixture: zero disturbance, logging callbacks; `settings`
+    are further SimConfig fields."""
     sim = Simulator()
     ledger = EnergyLedger(len(positions), initial)
     log = {"delivered": [], "undelivered": [], "dropped": []}
     medium = Medium(
-        sim, positions,
-        RadioParams(sigma_alpha=0.0, sigma_beta=0.0),
-        MacParams(max_retries=max_retries),
-        ledger,
-        EnergyParams(initial=initial),
-        RandomStream(seed, "radio"), RandomStream(seed, "mac"),
+        sim, positions, SimConfig(sigma_alpha=0.0, sigma_beta=0.0, **settings),
+        ledger, RandomStream(seed, "radio"), RandomStream(seed, "mac"),
         deliver=lambda node, frame: log["delivered"].append((node, frame)),
         on_undelivered=lambda frame, dead: log["undelivered"].append((frame, dead)),
         on_mac_drop=lambda frame, reason: log["dropped"].append((frame, reason)),
@@ -159,7 +148,7 @@ class TestMedium:
         sim.run_until(2.0)
         delivered = {id(fr) for _, fr in log["delivered"]}
         assert delivered == {id(long), id(short)}
-        assert medium.dropped_busy == 0
+        assert log["dropped"] == []
 
     def test_busy_drop_when_retries_exhausted(self):
         sim, medium, _, log = build_medium([(0, 0), (20, 0)], max_retries=0)
@@ -169,8 +158,7 @@ class TestMedium:
         sim.on("poke", lambda ev: medium.send(short))
         sim.schedule(0.5, "poke")
         sim.run_until(3.0)
-        assert (short, "busy") in log["dropped"]
-        assert medium.dropped_busy == 1
+        assert log["dropped"] == [(short, "busy")]
 
     def test_dead_source_sends_nothing(self):
         sim, medium, ledger, log = build_medium([(0, 0), (20, 0)])
@@ -188,7 +176,7 @@ class TestMedium:
         medium.send(Frame(src=0, dst=1, kind="data", size_bits=1000))
         sim.run_until(1.0)
         assert log["delivered"] == []
-        assert medium.dropped_energy == 1
+        assert [reason for _, reason in log["dropped"]] == ["energy"]
         assert ledger.residual[0] == 0.0
         assert ledger.conservation_gap() == 0.0
 
@@ -203,8 +191,7 @@ class TestMedium:
         assert first is f1 and second is f2
 
     def test_idle_draw_settles(self):
-        sim, medium, ledger, _ = build_medium([(0, 0), (20, 0)])
-        medium.energy.e_idle_per_s = 0.1
+        sim, medium, ledger, _ = build_medium([(0, 0), (20, 0)], e_idle_per_s=0.1)
         sim.run_until(10.0)
         medium.settle_all_idle()
         assert ledger.spent["idle"][0] == pytest.approx(1.0)
