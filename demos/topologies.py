@@ -49,7 +49,7 @@ def orbit():
     topo = make_grid(49, spacing=20.0, tx_radius=35.0)
     traj = make_trajectory(topo.side, duration=100.0,
                            rng=streams.stream("mobility"),
-                           radius_frac=0.25, update_period=1.0)
+                           radius_frac=0.25)
     print("dynamic scenario: the sink orbits the field center, one revolution")
     samples = []
     for t in (0.0, 25.0, 50.0, 75.0, 100.0):

@@ -85,6 +85,11 @@ class SimConfig:
         self.validate()
 
     def validate(self):
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            # nan passes every range check below, since each comparison is false.
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.protocol not in PROTOCOL_NAMES:
             raise ConfigError(f"unknown protocol {self.protocol!r}, expected one of {PROTOCOL_NAMES}")
         if self.layout not in LAYOUTS:
@@ -101,6 +106,12 @@ class SimConfig:
             raise ConfigError("traffic_rate must be > 0")
         if self.initial_energy is not None and self.initial_energy <= 0:
             raise ConfigError("initial_energy must be > 0")
+        if int(self.data_ttl_factor * self.nodes) < 1:
+            raise ConfigError("data_ttl_factor * nodes must give a hop budget >= 1")
+        if self.grid_spacing <= 0:
+            raise ConfigError("grid_spacing must be > 0")
+        if self.sink_radius_frac < 0:
+            raise ConfigError("sink_radius_frac must be >= 0")
         if self.max_topology_retries < 1:
             raise ConfigError("max_topology_retries must be >= 1")
         if self.sink_update_period <= 0:
@@ -177,8 +188,8 @@ _FIELD_NAMES = {f.name for f in fields(SimConfig)}
 # module is evaluated; accept both spellings.
 _INT_FIELDS = {f.name for f in fields(SimConfig)
                if f.type in (int, int | None, "int", "int | None")}
-_FLOAT_FIELDS = {f.name for f in fields(SimConfig)
-                 if f.type in (float, float | None, "float", "float | None")}
+_FLOAT_FIELDS = tuple(f.name for f in fields(SimConfig)
+                      if f.type in (float, float | None, "float", "float | None"))
 
 
 def _convert(key: str, raw: str):

@@ -100,25 +100,13 @@ class Frame:
 
 
 class _Transmission:
-    __slots__ = ("frame", "src", "t0", "t1", "candidates", "lost")
+    __slots__ = ("frame", "t1", "candidates", "lost")
 
-    def __init__(self, frame, t0, t1, candidates):
+    def __init__(self, frame, t1, candidates):
         self.frame = frame
-        self.src = frame.src
-        self.t0 = t0
         self.t1 = t1
-        self.candidates = candidates  # bool vector: audible, alive, not busy at t0
+        self.candidates = candidates  # bool vector: audible, alive, not on air at start
         self.lost = np.zeros(len(candidates), dtype=bool)
-
-
-class _MacState:
-    __slots__ = ("queue", "busy", "attempts", "tx_end")
-
-    def __init__(self):
-        self.queue = []
-        self.busy = False
-        self.attempts = 0
-        self.tx_end = -1.0  # end time of this node's own transmission in progress
 
 
 class Medium:
@@ -128,6 +116,13 @@ class Medium:
     energy debits for transmitters and every audible receiver, collision
     resolution, and delivery of surviving frames to the network layer.
     Radio, MAC and energy settings are read from `cfg`, already validated.
+
+    MAC state is each node's frame queue plus the list of frames on the
+    channel. A node is in a MAC cycle exactly when its queue is non-empty:
+    the head frame is then backing off (one pending MAC_RETRY, whose payload
+    carries the head's busy-sense count), about to start (one pending
+    TX_START), or in `_inflight`, and it leaves the queue only in that cycle's
+    handlers. A node is on air while its `_inflight` entry has `t1 > now`.
 
     Callbacks:
       deliver(node, frame)            -- frame survived at `node`
@@ -158,7 +153,7 @@ class Medium:
         self.in_range = self.dist <= cfg.tx_radius
         np.fill_diagonal(self.in_range, False)
 
-        self._mac = [_MacState() for _ in range(self.n)]
+        self._queues = [[] for _ in range(self.n)]
         self._inflight = []
         self._last_idle = np.zeros(self.n)
         self.collisions = 0
@@ -174,8 +169,10 @@ class Medium:
     def settle_idle(self, node: int):
         """Debit idle draw accrued since the last settlement for `node`."""
         rate = self.cfg.e_idle_per_s
+        if rate == 0.0:
+            return
         now = self.sim.now()
-        if rate > 0.0 and self.ledger.alive(node):
+        if self.ledger.alive(node):
             dt = now - self._last_idle[node]
             if dt > 0:
                 self.ledger.charge(node, "idle", rate * dt)
@@ -192,77 +189,75 @@ class Medium:
 
     def send(self, frame: Frame):
         """Queue a frame at its source; the MAC airs queued frames in order."""
-        st = self._mac[frame.src]
         if not self.ledger.alive(frame.src):
             self.on_mac_drop(frame, "dead")
             return
-        st.queue.append(frame)
-        if not st.busy:
-            st.busy = True
-            st.attempts = 0
+        queue = self._queues[frame.src]
+        queue.append(frame)
+        if len(queue) == 1:
             self._attempt(frame.src)
 
     def _flush_dead(self, node):
-        st = self._mac[node]
-        for frame in st.queue:
+        queue = self._queues[node]
+        for frame in queue:
             self.on_mac_drop(frame, "dead")
-        st.queue.clear()
-        st.busy = False
+        queue.clear()
 
     def _channel_busy(self, node) -> bool:
+        # The sensing node's own frame is never on air here: a node senses
+        # from an empty queue (send) or from its own cycle, never mid-frame.
         now = self.sim.now()
         for tr in self._inflight:
-            if tr.t1 > now and (self.in_range[tr.src, node] or tr.src == node):
+            if tr.t1 > now and self.in_range[tr.frame.src, node]:
                 return True
         return False
 
-    def _attempt(self, node):
-        st = self._mac[node]
+    def _attempt(self, node, attempts=0):
+        """Sense the channel for the head of `node`'s queue; `attempts` counts
+        the busy senses this head frame has already had."""
         if not self.ledger.alive(node):
             self._flush_dead(node)
             return
-        if not st.queue:
-            st.busy = False
+        queue = self._queues[node]
+        if not queue:
             return
-        frame = st.queue[0]
+        frame = queue[0]
         if self._channel_busy(node):
-            st.attempts += 1
-            if st.attempts > self.cfg.max_retries:
-                st.queue.pop(0)
+            attempts += 1
+            if attempts > self.cfg.max_retries:
+                # Report before dequeuing: a frame the callback sends from
+                # this node queues behind the dropped one and starts no cycle.
                 self.on_mac_drop(frame, "busy")
-                st.attempts = 0
+                queue.pop(0)
                 self._attempt(node)
                 return
-            window = self.cfg.cw_init * (2 ** (st.attempts - 1))
+            window = self.cfg.cw_init * (2 ** (attempts - 1))
             slots = self.rng_mac.randint(1, window)
             delay = slots * self.airtime(frame)
-            self.sim.schedule(self.sim.now() + delay, kernel.MAC_RETRY, node)
+            self.sim.schedule(self.sim.now() + delay, kernel.MAC_RETRY, (node, attempts))
             return
         self.sim.schedule(self.sim.now(), kernel.TX_START, node)
 
     def _handle_retry(self, ev):
-        self._attempt(ev.payload)
+        self._attempt(*ev.payload)
 
     def _handle_tx_start(self, ev):
+        # The queue is not empty: only this node's cycle dequeues, and the
+        # pending TX_START is that cycle.
         node = ev.payload
-        st = self._mac[node]
-        if not st.queue:
-            st.busy = False
-            return
-        frame = st.queue[0]
+        queue = self._queues[node]
+        frame = queue[0]
         self.settle_idle(node)
         cost = self.cfg.e_tx_per_bit * frame.size_bits
         debited = self.ledger.charge(node, "tx", cost)
         if debited < cost:
             # Ran out of juice mid-charge: node is now dead, frame never airs.
-            st.queue.pop(0)
+            queue.pop(0)
             self.on_mac_drop(frame, "energy")
             self._flush_dead(node)
             return
-        now = self.sim.now()
-        t1 = now + self.airtime(frame)
-        st.tx_end = t1
-        tr = _Transmission(frame, now, t1, self._audible(node))
+        t1 = self.sim.now() + self.airtime(frame)
+        tr = _Transmission(frame, t1, self._audible(node))
         self._mark_collisions(tr)
         self._inflight.append(tr)
         self.frames_sent += 1
@@ -283,13 +278,14 @@ class Medium:
         cand = (power >= self.rx_threshold) & self.ledger.alive_mask()
         cand[src] = False
         now = self.sim.now()
-        for i in range(self.n):
-            if cand[i] and self._mac[i].tx_end > now:
-                cand[i] = False
+        for tr in self._inflight:
+            if tr.t1 > now:
+                cand[tr.frame.src] = False
         return cand
 
     def _mark_collisions(self, new: _Transmission):
-        now = new.t0
+        now = self.sim.now()
+        src = new.frame.src
         for tr in self._inflight:
             if tr.t1 <= now:
                 continue
@@ -299,8 +295,8 @@ class Medium:
                 tr.lost |= both
                 new.lost |= both
             # The new sender cannot keep listening to an ongoing frame.
-            if tr.candidates[new.src]:
-                tr.lost[new.src] = True
+            if tr.candidates[src]:
+                tr.lost[src] = True
 
     def _handle_tx_end(self, ev):
         tr = ev.payload
@@ -325,10 +321,7 @@ class Medium:
         for node in delivered:
             self.frames_delivered += 1
             self.deliver(node, frame)
-        # Sender moves on to its next queued frame.
-        st = self._mac[frame.src]
-        st.tx_end = -1.0
-        if st.queue and st.queue[0] is frame:
-            st.queue.pop(0)
-        st.attempts = 0
+        # The aired frame is still its sender's queue head (only this cycle
+        # dequeues); the sender moves on to its next queued frame.
+        self._queues[frame.src].pop(0)
         self._attempt(frame.src)

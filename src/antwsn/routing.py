@@ -76,9 +76,6 @@ class RoutingTable:
         if self.mode == PROBABILITY:
             self.normalize_check(dest)
 
-    def drop_column(self, dest):
-        self._columns.pop(dest, None)
-
     def normalize_check(self, dest):
         """Probability columns must sum to 1 within NORM_TOL."""
         if self.mode != PROBABILITY:
@@ -111,11 +108,6 @@ class RoutingTable:
         if not any(w > 0 for w in weights):
             raise RoutingError(f"no positive weight toward {dest!r}")
         return self.neighbors[weighted_pick(weights, u)]
-
-    def best(self, dest) -> int:
-        col = self.column(dest)
-        i = max(range(len(col)), key=lambda k: (col[k], -self.neighbors[k]))
-        return self.neighbors[i]
 
     def rows(self):
         """Yield (neighbor, dest, value) for dumping; deterministic order."""

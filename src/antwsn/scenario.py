@@ -28,9 +28,6 @@ class Topology:
     def n(self) -> int:
         return len(self.positions)
 
-    def distance(self, a: int, b: int) -> float:
-        return float(np.hypot(*(self.positions[a] - self.positions[b])))
-
     def nearest_node(self, point, alive_mask=None) -> int:
         """Closest node to a point; ties break toward the lowest id."""
         d = np.hypot(self.positions[:, 0] - point[0], self.positions[:, 1] - point[1])
@@ -111,7 +108,6 @@ class SinkTrajectory:
     center: tuple
     radius: float
     angular_speed: float  # rad/s
-    update_period: float
     side: float
 
     def position(self, t: float) -> tuple:
@@ -126,12 +122,11 @@ class SinkTrajectory:
 
 
 def make_trajectory(side: float, duration: float, rng,
-                    radius_frac: float = 0.25, update_period: float = 1.0) -> SinkTrajectory:
+                    radius_frac: float = 0.25) -> SinkTrajectory:
     """Random circle center, radius side*radius_frac, one revolution per run."""
     center = (rng.uniform() * side, rng.uniform() * side)
     return SinkTrajectory(center=center, radius=side * radius_frac,
-                          angular_speed=2.0 * math.pi / duration,
-                          update_period=update_period, side=side)
+                          angular_speed=2.0 * math.pi / duration, side=side)
 
 
 def data_times(rate: float, duration: float, rng) -> list:

@@ -69,16 +69,15 @@ class Simulation:
         self.topology = topology if topology is not None else self._build_topology()
         self._bind_sink()
 
+        self.protocol = make_protocol(cfg.protocol, self)
         self.ledger = EnergyLedger(self.topology.n, cfg.energy_budget)
         self.medium = Medium(
             self.kernel, self.topology.positions, cfg, self.ledger,
             self.rng.radio, self.rng.mac,
-            deliver=self._deliver,
+            deliver=self.protocol.on_frame_received,
             on_undelivered=self._undelivered,
             on_mac_drop=self._mac_drop,
         )
-
-        self.protocol = make_protocol(cfg.protocol, self)
 
         self.kernel.on(kernel.ANT_LAUNCH, self._handle_ant_launch)
         self.kernel.on(kernel.DATA_GENERATION, self._handle_data_generation)
@@ -104,8 +103,7 @@ class Simulation:
         side = self.topology.side
         if cfg.scenario == "dynamic":
             self.trajectory = make_trajectory(side, cfg.duration, self.rng.mobility,
-                                              cfg.sink_radius_frac,
-                                              cfg.sink_update_period)
+                                              cfg.sink_radius_frac)
             start = self.trajectory.position(0.0)
         else:
             self.trajectory = None
@@ -164,9 +162,6 @@ class Simulation:
             self.protocol.on_timer(node, tag, data)
 
     # -- medium callbacks ---------------------------------------------------
-
-    def _deliver(self, node: int, frame: Frame):
-        self.protocol.on_frame_received(node, frame)
 
     def _undelivered(self, frame: Frame, dst_dead: bool):
         self.count("frames_undelivered")

@@ -74,7 +74,9 @@ class TestRun:
         "cw_init = 0", "max_retries = -1", "e_tx_per_bit = -1",
         "e_rx_per_bit = -1", "e_idle_per_s = -1", "ff_delay_max = -1",
         "ant_frame_bytes = 0", "data_frame_bytes = 0",
-        "max_topology_retries = 0",
+        "max_topology_retries = 0", "duration = nan", "bitrate = inf",
+        "sigma_alpha = nan", "data_ttl_factor = -1", "grid_spacing = 0",
+        "sink_radius_frac = -0.1",
     ])
     def test_out_of_range_value_is_a_config_error(self, capsys, tmp_path, line):
         conf = tmp_path / "bad.conf"

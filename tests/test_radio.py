@@ -4,7 +4,7 @@ networks with the disturbance turned off (deterministic radio)."""
 import pytest
 
 from antwsn.config import SimConfig
-from antwsn.kernel import RandomStream, Simulator
+from antwsn.kernel import MAC_RETRY, RandomStream, Simulator
 from antwsn.radio import (BROADCAST, EnergyLedger, Frame, Medium,
                           ideal_reception, perturbed_reception)
 
@@ -69,6 +69,19 @@ class TestFrame:
     def test_zero_size_rejected(self):
         with pytest.raises(ValueError):
             Frame(src=0, dst=1, kind="data", size_bits=0)
+
+
+class EventKinds:
+    """Trace sink that keeps the kind of every dispatched event."""
+
+    def __init__(self):
+        self.kinds = []
+
+    def update(self, line: bytes):
+        self.kinds.append(line.decode().split()[2])
+
+    def count(self, kind: str) -> int:
+        return self.kinds.count(kind)
 
 
 def build_medium(positions, initial=30.0, seed=1, **settings):
@@ -150,15 +163,59 @@ class TestMedium:
         assert delivered == {id(long), id(short)}
         assert log["dropped"] == []
 
-    def test_busy_drop_when_retries_exhausted(self):
-        sim, medium, _, log = build_medium([(0, 0), (20, 0)], max_retries=0)
+    @pytest.mark.parametrize("max_retries", [0, 2])
+    def test_busy_drop_when_retries_exhausted(self, max_retries):
+        # Each queued frame gets its own max_retries backoffs before its drop.
+        sim, medium, _, log = build_medium([(0, 0), (20, 0)], cw_init=1,
+                                           max_retries=max_retries)
+        kinds = EventKinds()
+        sim.trace = kinds
         long = Frame(src=0, dst=1, kind="data", size_bits=40000)  # 1 s on air
+        shorts = [Frame(src=1, dst=0, kind="data", size_bits=400) for _ in range(2)]
+        medium.send(long)
+        sim.on("poke", lambda ev: [medium.send(f) for f in shorts])
+        sim.schedule(0.5, "poke")
+        sim.run_until(3.0)
+        assert log["dropped"] == [(f, "busy") for f in shorts]
+        assert kinds.count(MAC_RETRY) == 2 * max_retries
+
+    def test_frame_sent_from_busy_drop_callback_queues_once(self):
+        # The callback's frame must join the running MAC cycle, not start a
+        # second one that would air it twice.
+        # cw_init=1: every first backoff is one 0.01 s slot.
+        sim, medium, _, log = build_medium([(0, 0), (20, 0)], cw_init=1,
+                                           max_retries=1)
+        kinds = EventKinds()
+        sim.trace = kinds
+        long = Frame(src=0, dst=1, kind="data", size_bits=2600)   # on air until 0.065
+        short = Frame(src=1, dst=0, kind="data", size_bits=400)   # dropped at 0.06
+        again = Frame(src=1, dst=0, kind="data", size_bits=400)   # backs off, airs at 0.07
+
+        def drop(frame, reason):
+            log["dropped"].append((frame, reason))
+            if frame is short:
+                medium.send(again)
+        medium.on_mac_drop = drop
+        medium.send(long)
+        sim.on("poke", lambda ev: medium.send(short))
+        sim.schedule(0.05, "poke")
+        sim.run_until(1.0)
+        assert log["dropped"] == [(short, "busy")]
+        assert [fr for _, fr in log["delivered"]] == [long, again]
+        assert medium.frames_sent == 2 and kinds.count(MAC_RETRY) == 2
+
+    def test_half_duplex_sender_hears_nothing(self):
+        # 40 m apart: outside the 35 m carrier-sense disk, inside decode range.
+        sim, medium, _, log = build_medium([(0, 0), (40, 0)], rx_threshold=5e-4)
+        long = Frame(src=0, dst=1, kind="data", size_bits=4000)   # 0.1 s on air
         short = Frame(src=1, dst=0, kind="data", size_bits=400)
         medium.send(long)
         sim.on("poke", lambda ev: medium.send(short))
-        sim.schedule(0.5, "poke")
-        sim.run_until(3.0)
-        assert log["dropped"] == [(short, "busy")]
+        sim.schedule(0.05, "poke")
+        sim.run_until(1.0)
+        assert log["delivered"] == []
+        assert [f for f, _ in log["undelivered"]] == [short, long]
+        assert medium.frames_sent == 2 and medium.collisions == 0
 
     def test_dead_source_sends_nothing(self):
         sim, medium, ledger, log = build_medium([(0, 0), (20, 0)])

@@ -59,12 +59,6 @@ class TestRoutingTable:
         t.set_column("sink", [3.0, 9.0])
         assert t.column("sink") == [3.0, 9.0]
 
-    def test_drop_column_resets_to_fresh(self):
-        t = RoutingTable([1, 2])
-        t.set_column("sink", [0.9, 0.1])
-        t.drop_column("sink")
-        assert t.column("sink") == [0.5, 0.5]
-
     def test_no_neighbors_rejected_lazily(self):
         t = RoutingTable([])
         with pytest.raises(RoutingError):
@@ -95,11 +89,6 @@ class TestRoutingTable:
         t.set_column("sink", [0.0, 0.0])
         with pytest.raises(RoutingError):
             t.sample("sink", 0.5)
-
-    def test_best_breaks_ties_toward_lowest_id(self):
-        t = RoutingTable([7, 3, 5], mode=PHEROMONE)
-        t.set_column("sink", [1.0, 1.0, 0.5])
-        assert t.best("sink") == 3
 
     def test_rows_dump(self):
         t = RoutingTable([1, 2])

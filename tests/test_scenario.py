@@ -30,10 +30,6 @@ class TestGrid:
         with pytest.raises(TopologyError):
             make_grid(9, spacing=40.0, tx_radius=35.0)
 
-    def test_distance(self):
-        top = make_grid(4, spacing=20.0)
-        assert top.distance(0, 3) == pytest.approx(20.0 * math.sqrt(2))
-
 
 class TestFromPoints:
     def test_builds_neighbor_lists(self):
@@ -89,23 +85,23 @@ class TestNearestNode:
 class TestTrajectory:
     def test_circle_and_clipping(self):
         traj = SinkTrajectory(center=(50, 50), radius=10, angular_speed=math.pi,
-                              update_period=1.0, side=100.0)
+                              side=100.0)
         x, y = traj.position(0.0)
         assert (x, y) == pytest.approx((60.0, 50.0))
         x, y = traj.position(1.0)  # half turn
         assert (x, y) == pytest.approx((40.0, 50.0))
         clipped = SinkTrajectory(center=(0, 0), radius=10, angular_speed=0.0,
-                                 update_period=1.0, side=5.0)
+                                 side=5.0)
         assert clipped.position(0.0) == (5.0, 0.0)
 
     def test_negative_time_rejected(self):
-        traj = SinkTrajectory((0, 0), 1, 1, 1, 10)
+        traj = SinkTrajectory((0, 0), 1, 1, 10)
         with pytest.raises(ValueError):
             traj.position(-0.1)
 
     def test_make_trajectory_one_revolution(self):
         traj = make_trajectory(140.0, 100.0, RandomStream(4, "mobility"),
-                               radius_frac=0.25, update_period=1.0)
+                               radius_frac=0.25)
         assert traj.radius == pytest.approx(35.0)
         assert traj.angular_speed == pytest.approx(2 * math.pi / 100.0)
         assert 0 <= traj.center[0] <= 140 and 0 <= traj.center[1] <= 140
