@@ -137,6 +137,14 @@ class TestMedium:
         assert ledger.spent["rx"][1] > 0 and ledger.spent["rx"][2] > 0
         assert ledger.spent["rx"][0] == 0.0
 
+    def test_broadcast_delivered_in_ascending_node_id(self):
+        # Ids are in no geometric order; the handlers run lowest id first.
+        positions = [(0, 0), (30, 0), (0, 10), (-20, 0), (0, -25), (10, 10)]
+        sim, medium, _, log = build_medium(positions)
+        medium.send(Frame(src=0, dst=BROADCAST, kind="data", size_bits=400))
+        sim.run_until(1.0)
+        assert [n for n, _ in log["delivered"]] == [1, 2, 3, 4, 5]
+
     def test_hidden_terminals_collide(self):
         # 0 and 2 cannot hear each other; both reach 1 at the same instant.
         sim, medium, ledger, log = build_medium([(0, 0), (20, 0), (40, 0)])
