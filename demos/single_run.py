@@ -2,7 +2,6 @@
 look inside a routing table after the ants have converged."""
 
 from antwsn.config import SimConfig
-from antwsn.protocols.base import SINK
 from antwsn.simulation import Simulation
 
 cfg = SimConfig(protocol="ieeabr", nodes=49, layout="grid", scenario="static",
@@ -28,10 +27,9 @@ for key in ("fwd_ants_launched", "fwd_ants_arrived", "fwd_ants_deferred",
 # the sink's neighbors should hold most of their column mass on it
 neighbor = sim.topology.neighbors[sim.sink_node][0]
 table = sim.protocol.tables[neighbor]
-print(f"\nrouting table of node {neighbor} (a sink neighbor), "
-      f"column '{SINK}':")
+print(f"\nrouting table of node {neighbor} (a sink neighbor), toward the sink:")
 for nb in table.neighbors:
-    tau = table.get(nb, SINK)
+    tau = table.get(nb)
     tag = "  <- the sink" if nb == sim.sink_node else ""
     print(f"  toward {nb:>2}: {tau:.4f}{tag}")
 

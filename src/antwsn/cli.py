@@ -14,7 +14,7 @@ import traceback
 from pathlib import Path
 
 from .config import ConfigError, SimConfig, load_config
-from .harness import CSV_COLUMNS, load_plan, run_experiment
+from .harness import csv_text, load_plan, result_row, run_experiment
 from .scenario import TopologyError
 from .simulation import Simulation
 
@@ -53,14 +53,8 @@ def _cmd_run(args) -> int:
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        row = [f"{result.protocol}-{result.nodes}-{result.scenario}-r1",
-               result.protocol, result.nodes, result.scenario, 1,
-               "" if result.latency_s is None else repr(result.latency_s),
-               repr(result.success_rate_pct), repr(result.energy_j),
-               repr(result.efficiency_kbit_per_j)]
-        lines = [",".join(CSV_COLUMNS), ",".join(str(v) for v in row)]
         path = outdir / "run.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_text(csv_text([result_row(result, replicate=1)]), encoding="utf-8")
         print(f"wrote {path}")
     return 0
 
@@ -80,11 +74,9 @@ def _cmd_dump_table(args) -> int:
     if not (0 <= args.node < sim.topology.n):
         raise ConfigError(f"node {args.node} outside 0..{sim.topology.n - 1}")
     sim.run()
-    table = sim.protocol.tables.get(args.node)
     print("neighbor,destination,value")
-    if table is not None:
-        for neighbor, dest, value in table.rows():
-            print(f"{neighbor},{dest},{value!r}")
+    for neighbor, dest, value in sim.protocol.tables[args.node].rows():
+        print(f"{neighbor},{dest},{value!r}")
     return 0
 
 

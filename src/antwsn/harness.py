@@ -83,21 +83,8 @@ class ResultTable:
     def __init__(self, plan: ExperimentPlan, results: dict):
         self.plan = plan
         self.results = results          # cell tuple -> RunResult
-        self.rows = []
-        for cell in plan.cells():
-            protocol, nodes, scenario, replicate = cell
-            res = results[cell]
-            self.rows.append({
-                "run_id": f"{protocol}-{nodes}-{scenario}-r{replicate}",
-                "protocol": protocol,
-                "nodes": nodes,
-                "scenario": scenario,
-                "replicate": replicate,
-                "latency_s": res.latency_s,
-                "success_rate_pct": res.success_rate_pct,
-                "energy_J": res.energy_j,
-                "efficiency_kbit_per_J": res.efficiency_kbit_per_j,
-            })
+        self.rows = [result_row(results[cell], replicate=cell[3])
+                     for cell in plan.cells()]
         self.aggregates = self._aggregate()
 
     def _cell_groups(self):
@@ -138,12 +125,7 @@ class ResultTable:
     # -- export --------------------------------------------------------------
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in self.rows + self.aggregates:
-            writer.writerow([_csv_value(row[c]) for c in CSV_COLUMNS])
-        return buf.getvalue()
+        return csv_text(self.rows + self.aggregates)
 
     def to_json(self) -> str:
         return json.dumps(self.rows + self.aggregates, indent=2) + "\n"
@@ -180,6 +162,32 @@ class ResultTable:
                     path.write_text("".join(lines), encoding="utf-8")
                     written.append(path)
         return written
+
+
+def result_row(res, replicate) -> dict:
+    """One run's export row; the run id and cell columns come from the
+    result itself."""
+    return {
+        "run_id": f"{res.protocol}-{res.nodes}-{res.scenario}-r{replicate}",
+        "protocol": res.protocol,
+        "nodes": res.nodes,
+        "scenario": res.scenario,
+        "replicate": replicate,
+        "latency_s": res.latency_s,
+        "success_rate_pct": res.success_rate_pct,
+        "energy_J": res.energy_j,
+        "efficiency_kbit_per_J": res.efficiency_kbit_per_j,
+    }
+
+
+def csv_text(rows) -> str:
+    """The CSV_COLUMNS header and one line per row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for row in rows:
+        writer.writerow([_csv_value(row[c]) for c in CSV_COLUMNS])
+    return buf.getvalue()
 
 
 def _csv_value(value):

@@ -5,10 +5,10 @@ reinforcement factor computed from a per-node trip-time model.
 
 from ..radio import BACKWARD_ANT, FORWARD_ANT
 from ..routing import Ant, RoutingError, TripModel
-from .base import SINK, Protocol
+from .base import Protocol
 
 
-def reinforce(table, chosen, dest, r: float):
+def reinforce(table, chosen, r: float):
     """Shift a probability column toward `chosen` by factor r.
 
     P_chosen rises by r(1 - P_chosen); every other entry decays by r of
@@ -16,7 +16,7 @@ def reinforce(table, chosen, dest, r: float):
     """
     if not (0.0 <= r <= 1.0):
         raise RoutingError(f"reinforcement factor {r!r} outside [0, 1]")
-    col = table.column(dest)
+    col = table.column
     idx = table.index[chosen]
     for i in range(len(col)):
         if i == idx:
@@ -57,7 +57,7 @@ class PathReinforceProtocol(Protocol):
 
     def launch_ant(self, node: int):
         sim = self.sim
-        if node == sim.sink_node or node not in self.tables:
+        if node == sim.sink_node:
             return
         ant = Ant(uid=sim.new_ant_uid())
         ant.visit(node, sim.now)
@@ -68,7 +68,7 @@ class PathReinforceProtocol(Protocol):
         """Pick the next unicast hop; visited nodes are hard-excluded."""
         sim = self.sim
         try:
-            nxt = self.tables[node].sample(SINK, sim.rng.protocol.uniform(),
+            nxt = self.tables[node].sample(sim.rng.protocol.uniform(),
                                            exclude=ant.path_nodes(), strict=True)
         except RoutingError:
             sim.count("fwd_ants_dead_end")
@@ -107,7 +107,7 @@ class PathReinforceProtocol(Protocol):
             sim.count("bwd_ants_completed")
 
     def _apply_reinforcement(self, node: int, came_from: int, trip: float):
-        if trip <= 0 or node not in self.tables:
+        if trip <= 0:
             return
         table = self.tables[node]
         if came_from not in table.index:
@@ -115,8 +115,8 @@ class PathReinforceProtocol(Protocol):
         model = self.trip_models[node]
         model.observe(trip)
         r = reinforcement_factor(model, trip, self.cfg.c1, self.cfg.c2)
-        reinforce(table, came_from, SINK, r)
-        table.normalize_check(SINK)
+        reinforce(table, came_from, r)
+        table.normalize_check()
 
 
 class BABR(PathReinforceProtocol):

@@ -9,9 +9,8 @@ the ant lifecycle; data-packet plumbing lives here.
 from dataclasses import dataclass
 
 from ..radio import BACKWARD_ANT, DATA, FORWARD_ANT, Frame
-from ..routing import RoutingError, RoutingTable
-
-SINK = "sink"   # logical destination key; survives sink re-binding
+from ..routing import PHEROMONE, PROBABILITY, RoutingError, RoutingTable
+from ..routing import SINK  # noqa: F401  (re-exported)
 
 
 @dataclass
@@ -24,7 +23,7 @@ class DataPacket:
 
 class Protocol:
     name = ""
-    table_mode = "probability"
+    table_mode = PROBABILITY
     launches_ants = True
 
     def __init__(self, sim):
@@ -35,13 +34,13 @@ class Protocol:
         # (1/n unless overridden) so early deposits actually shift the odds;
         # probability tables fix their own uniform start.
         fresh = None
-        if self.table_mode == "pheromone":
+        if self.table_mode == PHEROMONE:
             fresh = self.cfg.tau0 if self.cfg.tau0 is not None else 1.0 / topo.n
-        self.tables = {}
-        for node in range(topo.n):
-            if topo.neighbors[node]:
-                self.tables[node] = RoutingTable(
-                    topo.neighbors[node], self.table_mode, fresh_mass=fresh)
+        # Every node has a neighbor on a connected field; a node without one
+        # makes RoutingTable raise.
+        self.tables = {node: RoutingTable(topo.neighbors[node], self.table_mode,
+                                          fresh_mass=fresh)
+                       for node in range(topo.n)}
 
     # -- lifecycle hooks (simulation calls these) -------------------------
 
@@ -113,11 +112,9 @@ class Protocol:
 
     def data_next_hop(self, node: int, arrived_from):
         """Pick the next relay toward the sink; None when the node is stuck."""
-        table = self.tables.get(node)
-        if table is None:
-            return None
         exclude = () if arrived_from is None else (arrived_from,)
         try:
-            return table.sample(SINK, self.sim.rng.protocol.uniform(), exclude=exclude)
+            return self.tables[node].sample(self.sim.rng.protocol.uniform(),
+                                            exclude=exclude)
         except RoutingError:
             return None

@@ -7,7 +7,7 @@ and average residual energy the ant saw.
 from ..kernel import weighted_pick
 from ..radio import BACKWARD_ANT, FORWARD_ANT
 from ..routing import Ant, AntCache, PHEROMONE
-from .base import SINK, Protocol
+from .base import Protocol
 
 VISIBILITY_FLOOR = 1e-3   # fraction of the budget the 1/(C - e) denominator keeps
 DENOM_TINY = 1e-9
@@ -63,7 +63,7 @@ class EEABR(Protocol):
 
     def launch_ant(self, node: int):
         sim = self.sim
-        if node == sim.sink_node or node not in self.tables:
+        if node == sim.sink_node:
             return
         ant = Ant(uid=sim.new_ant_uid())
         if not self._admit(ant):
@@ -90,7 +90,7 @@ class EEABR(Protocol):
         candidates = [n for n in table.neighbors if n not in exclude]
         if not candidates:
             return None
-        taus = [table.get(n, SINK) for n in candidates]
+        taus = [table.get(n) for n in candidates]
         residuals = [self._candidate_residual(n) for n in candidates]
         weights = selection_weights(taus, residuals, self.cfg.alpha,
                                     self.cfg.beta, sim.energy_budget)
@@ -101,10 +101,7 @@ class EEABR(Protocol):
     def _on_forward_ant(self, node: int, frame):
         sim = self.sim
         ant = frame.payload["ant"]
-        cache = self.caches.get(node)
-        if cache is None:
-            self._ant_died(ant)
-            return
+        cache = self.caches[node]
         cache.expire(sim.now)
         if cache.seen(ant.uid, sim.now):
             sim.count("fwd_ants_looped")
@@ -142,18 +139,17 @@ class EEABR(Protocol):
     def _on_backward_ant(self, node: int, frame):
         sim = self.sim
         uid = frame.payload["uid"]
-        cache = self.caches.get(node)
-        previous = cache.lookup(uid, sim.now) if cache is not None else None
+        cache = self.caches[node]
+        previous = cache.lookup(uid, sim.now)
         if previous is None:
             sim.count("bwd_ants_stale")
             return
         table = self.tables[node]
         if frame.src in table.index:
-            tau = table.get(frame.src, SINK)
-            table.set(frame.src, SINK,
-                      evaporate_deposit(tau, frame.payload["dtau"],
-                                        frame.payload["bd"],
-                                        self.cfg.rho, self.cfg.phi))
+            tau = table.get(frame.src)
+            table.set(frame.src, evaporate_deposit(tau, frame.payload["dtau"],
+                                                   frame.payload["bd"],
+                                                   self.cfg.rho, self.cfg.phi))
         cache.forget(uid)
         if previous < 0:
             sim.count("bwd_ants_completed")
@@ -165,8 +161,6 @@ class EEABR(Protocol):
     # -- data --------------------------------------------------------------
 
     def data_next_hop(self, node: int, arrived_from):
-        if node not in self.tables:
-            return None
         nxt = self._pick_next(node, (arrived_from,))
         if nxt is None:   # the sender is the only neighbor: bounce back
             nxt = self._pick_next(node, ())

@@ -7,7 +7,6 @@ the basic protocol.
 from ..radio import BACKWARD_ANT, BROADCAST, FORWARD_ANT
 from ..routing import Ant
 from .babr import PathReinforceProtocol
-from .base import SINK
 
 REBROADCAST = "flood-rebroadcast"
 
@@ -31,7 +30,7 @@ class FF(PathReinforceProtocol):
 
     def launch_ant(self, node: int):
         sim = self.sim
-        if node == sim.sink_node or node not in self.tables:
+        if node == sim.sink_node:
             return
         ant = Ant(uid=sim.new_ant_uid())
         ant.visit(node, sim.now)
@@ -83,12 +82,10 @@ class FF(PathReinforceProtocol):
         return False
 
     def _want_rebroadcast(self, node: int, sender: int) -> bool:
-        table = self.tables.get(node)
-        if table is None:
-            return False
         if node not in self._reinforced:
             return True  # no routing opinion yet: flood once regardless
-        p = table.get(sender, SINK) if sender in table.index else 0.0
+        table = self.tables[node]
+        p = table.get(sender) if sender in table.index else 0.0
         return should_broadcast(p, len(table.neighbors))
 
     def _flood_bits(self, kind: str) -> int:

@@ -23,9 +23,6 @@ class FP(FF):
         if node == sim.sink_node:
             sim.record_delivered(sim.now, sim.now)
             return
-        if node not in self.tables:
-            sim.count("data_no_route")
-            return
         packet = DataPacket(uid=sim.new_packet_uid(), origin=node,
                             created_at=sim.now,
                             ttl=int(self.cfg.data_ttl_factor * sim.topology.n))

@@ -7,7 +7,6 @@ from fractions import Fraction
 
 from ..radio import BROADCAST
 from ..routing import Ant
-from .base import SINK
 from .eeabr import EEABR
 
 
@@ -85,21 +84,19 @@ class IEEABR(EEABR):
 
     def _prime_sink_columns(self, sink_node: int):
         """Nodes that can reach the sink directly concentrate initial mass on
-        it; everyone else keeps (or lazily gets) the uniform start.
+        it; everyone else keeps the uniform start.
 
         The split fixes the selection odds, not the scale, so the column is
         sized to the same total mass a fresh column would hold; later trail
         deposits then shift a primed column exactly as fast as an unprimed one.
         """
         for node in self.sim.topology.neighbors[sink_node]:
-            table = self.tables.get(node)
-            if table is None:
-                continue
+            table = self.tables[node]
             n_nb = len(table.neighbors)
             to_sink, to_other = sink_adjacent_split(n_nb)
             scale = (table.fresh_mass or 1.0 / n_nb) * n_nb
-            table.set_column(SINK, [scale * (to_sink if n == sink_node else to_other)
-                                    for n in table.neighbors])
+            table.set_column([scale * (to_sink if n == sink_node else to_other)
+                              for n in table.neighbors])
 
     # -- congestion control ----------------------------------------------------
 
@@ -115,15 +112,15 @@ class IEEABR(EEABR):
         super().on_frame_lost(frame, reason, dst_dead)
         if not dst_dead or frame.dst == BROADCAST:
             return
-        table = self.tables.get(frame.src)
-        if table is None or frame.dst not in table.index:
+        table = self.tables[frame.src]
+        if frame.dst not in table.index:
             return
         idx = table.index[frame.dst]
-        col = table.column(SINK)
+        col = table.column
         if col[idx] <= 0:
             return
         redistributed = redistribute_column(col, idx)
         if redistributed is None:
             return  # sole neighbor died; nothing left to shift mass onto
-        table.set_column(SINK, redistributed)
+        table.set_column(redistributed)
         self.sim.count("link_failures_rerouted")

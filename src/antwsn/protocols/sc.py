@@ -7,7 +7,6 @@ that later moves leaves the gradient stale on purpose.
 import math
 
 from .babr import PathReinforceProtocol
-from .base import SINK
 
 
 def initial_distribution(q_costs, local_costs, sc_beta: float) -> list:
@@ -38,4 +37,4 @@ class SC(PathReinforceProtocol):
             q = [float(math.hypot(*(sim.topology.positions[n] - sink_pos))) / radius
                  for n in table.neighbors]
             col = initial_distribution(q, [1.0] * len(q), self.cfg.sc_beta)
-            table.set_column(SINK, col)
+            table.set_column(col)

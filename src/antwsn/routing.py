@@ -1,9 +1,11 @@
-"""Per-node routing state shared by every protocol: the neighbor/destination
-table, ant bookkeeping, and the adaptive trip-time model.
+"""Per-node routing state shared by every protocol: the next-hop table
+toward the sink, ant bookkeeping, and the adaptive trip-time model.
 
-Tables come in two flavours. Probability tables keep each destination column
-normalized to 1 (checked to 1e-9); pheromone tables only require nonnegative
-entries and are normalized on the fly when sampling.
+Every node reports to one sink, so a table is a single column: one weight
+per neighbor as the next hop toward whichever node hosts the sink. Tables
+come in two flavours. Probability tables keep the column normalized to 1
+(checked to 1e-9); pheromone tables only require nonnegative entries and
+are normalized on the fly when sampling.
 """
 
 import math
@@ -15,6 +17,8 @@ from .kernel import weighted_pick
 PROBABILITY = "probability"
 PHEROMONE = "pheromone"
 
+SINK = "sink"   # destination label in dumped rows: whichever node hosts the sink
+
 NORM_TOL = 1e-9
 
 
@@ -23,12 +27,13 @@ class RoutingError(Exception):
 
 
 class RoutingTable:
-    """Maps (neighbor, destination) to a weight.
+    """One weight per neighbor, in `column`, for that neighbor as the next
+    hop toward the sink.
 
-    Destination columns are created lazily; a fresh column is uniform in
-    probability mode and all-ones in pheromone mode. Destinations are logical
-    keys (usually the string "sink"), not node ids, so a moving sink keeps a
-    single column.
+    The fresh column has equal entries, so it samples uniformly: 1/n each in
+    probability mode, and `fresh_mass` each (1/n unless given) in pheromone
+    mode, which pins the per-entry mass so deposits register against the
+    prior.
     """
 
     def __init__(self, neighbors, mode=PROBABILITY, fresh_mass=None):
@@ -39,53 +44,40 @@ class RoutingTable:
         if fresh_mass is not None and mode == PROBABILITY:
             raise RoutingError("probability columns fix their own fresh value")
         self.neighbors = list(neighbors)
+        if not self.neighbors:
+            raise RoutingError("node has no neighbors")
         self.mode = mode
         self.fresh_mass = fresh_mass
         self.index = {n: i for i, n in enumerate(self.neighbors)}  # neighbor -> column slot
-        self._columns: dict = {}
+        fresh = fresh_mass if fresh_mass is not None else 1.0 / len(self.neighbors)
+        self.column = [float(fresh)] * len(self.neighbors)
 
-    def column(self, dest) -> list:
-        col = self._columns.get(dest)
-        if col is None:
-            if not self.neighbors:
-                raise RoutingError("node has no neighbors")
-            # Equal entries in both modes, so a fresh column samples uniformly.
-            # Probability columns must sum to 1; pheromone columns may instead
-            # pin the per-entry mass so deposits register against the prior.
-            if self.fresh_mass is not None:
-                col = [float(self.fresh_mass)] * len(self.neighbors)
-            else:
-                col = [1.0 / len(self.neighbors)] * len(self.neighbors)
-            self._columns[dest] = col
-        return col
+    def get(self, neighbor) -> float:
+        return self.column[self.index[neighbor]]
 
-    def get(self, neighbor, dest) -> float:
-        return self.column(dest)[self.index[neighbor]]
-
-    def set(self, neighbor, dest, value: float):
+    def set(self, neighbor, value: float):
         if value < 0:
             raise RoutingError("table entries must be >= 0")
-        self.column(dest)[self.index[neighbor]] = value
+        self.column[self.index[neighbor]] = value
 
-    def set_column(self, dest, values):
+    def set_column(self, values):
         if len(values) != len(self.neighbors):
             raise RoutingError("column length does not match neighbor count")
         if any(v < 0 for v in values):
             raise RoutingError("table entries must be >= 0")
-        self._columns[dest] = [float(v) for v in values]
-        if self.mode == PROBABILITY:
-            self.normalize_check(dest)
+        self.column = [float(v) for v in values]
+        self.normalize_check()
 
-    def normalize_check(self, dest):
+    def normalize_check(self):
         """Probability columns must sum to 1 within NORM_TOL."""
         if self.mode != PROBABILITY:
             return
-        s = math.fsum(self._columns[dest])
+        s = math.fsum(self.column)
         if abs(s - 1.0) > NORM_TOL:
-            raise RoutingError(f"column {dest!r} sums to {s!r}, expected 1")
+            raise RoutingError(f"column sums to {s!r}, expected 1")
 
-    def sample(self, dest, u: float, exclude=(), strict=False) -> int:
-        """Draw a neighbor for `dest` proportionally to the column weights.
+    def sample(self, u: float, exclude=(), strict=False) -> int:
+        """Draw a neighbor proportionally to the column weights.
 
         `u` is a uniform [0,1) variate supplied by the caller so table logic
         stays deterministic and RNG-free. Excluded neighbors get weight zero.
@@ -93,8 +85,7 @@ class RoutingTable:
         must die at dead ends); lax mode ignores the exclusion (data packets
         may bounce back to their sender rather than vanish).
         """
-        col = self.column(dest)
-        weights = list(col)
+        weights = self.column
         if exclude:
             masked = list(weights)
             for n in exclude:
@@ -104,17 +95,15 @@ class RoutingTable:
             if any(w > 0 for w in masked):
                 weights = masked
             elif strict:
-                raise RoutingError(f"every candidate toward {dest!r} is excluded")
+                raise RoutingError("every candidate toward the sink is excluded")
         if not any(w > 0 for w in weights):
-            raise RoutingError(f"no positive weight toward {dest!r}")
+            raise RoutingError("no positive weight toward the sink")
         return self.neighbors[weighted_pick(weights, u)]
 
     def rows(self):
-        """Yield (neighbor, dest, value) for dumping; deterministic order."""
-        for dest in self._columns:
-            col = self._columns[dest]
-            for n, v in zip(self.neighbors, col):
-                yield n, dest, v
+        """Yield (neighbor, SINK, value) for dumping, in neighbor order."""
+        for n, v in zip(self.neighbors, self.column):
+            yield n, SINK, v
 
 
 @dataclass

@@ -18,7 +18,6 @@ import pytest
 from antwsn.config import SimConfig
 from antwsn.harness import ExperimentPlan, run_experiment
 from antwsn.protocols.babr import reinforce
-from antwsn.protocols.base import SINK
 from antwsn.protocols.eeabr import selection_weights, trail_deposit
 from antwsn.protocols.ieeabr import (redistribute_column, sink_adjacent_split,
                                      sink_adjacent_split_exact)
@@ -109,10 +108,10 @@ def test_c1_probability_columns_stay_normalized():
             k = int(rng.integers(2, 7))
             table = RoutingTable(list(range(k)), "probability")
             col = rng.random(k) + 1e-3
-            table.set_column(SINK, list(col / col.sum()))
+            table.set_column(list(col / col.sum()))
         chosen = int(rng.integers(0, len(table.neighbors)))
-        reinforce(table, chosen, SINK, float(rng.random()))
-        worst = max(worst, abs(sum(table.column(SINK)) - 1.0))
+        reinforce(table, chosen, float(rng.random()))
+        worst = max(worst, abs(sum(table.column) - 1.0))
 
     # distance-gradient startup columns
     for _ in range(10_000):
@@ -176,12 +175,12 @@ def test_c3_selection_distribution_and_deposit_monotonicity():
     proto = sim.protocol
     table = proto.tables[0]
     for neighbor, tau in ((1, 0.5), (2, 0.3), (3, 0.2)):
-        table.set(neighbor, SINK, tau)
+        table.set(neighbor, tau)
     sim.ledger.charge(1, "tx", 12.0)   # distinct residuals: 18, 24, 30 J
     sim.ledger.charge(2, "tx", 6.0)
 
     cands = [1, 2, 3]
-    taus = [table.get(n, SINK) for n in cands]
+    taus = [table.get(n) for n in cands]
     residuals = [proto._candidate_residual(n) for n in cands]
     weights = selection_weights(taus, residuals, cfg.alpha, cfg.beta,
                                 sim.energy_budget)

@@ -1,7 +1,11 @@
-"""The traced benchmark mode patches named entry points of the simulator
-(`bench/layers.py`). A patched name that no longer exists makes
-`Spans.installed()` raise KeyError, and a wrapper that changes behaviour
-changes the trace; both would otherwise surface only in `--trace 1` runs."""
+"""The benchmark reaches into the simulator from outside, and a change to
+what it reads would otherwise surface only when the benchmark runs.
+
+The traced mode patches named entry points (`bench/layers.py`). A patched
+name that no longer exists makes `Spans.installed()` raise KeyError, and a
+wrapper that changes behaviour changes the trace. The cell checks
+(`bench/cells.py`) read routing tables, the ieeabr quota and the medium's
+callbacks; a broken read fails a cell the way a wrong result would."""
 
 import sys
 from pathlib import Path
@@ -9,8 +13,10 @@ from pathlib import Path
 import pytest
 
 from antwsn import SimConfig, Simulation
+from antwsn.config import PROTOCOL_NAMES
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import cells  # noqa: E402
 import layers  # noqa: E402
 
 SPANS = ("simulation.init", "simulation.run", "kernel.run_until",
@@ -30,3 +36,12 @@ def test_traced_run_keeps_the_trace_and_counts_every_layer(protocol):
     assert traced.trace_sha256 == plain.trace_sha256
     assert {name: spans.calls[name] for name in SPANS if not spans.calls[name]} == {}
     assert all(spans.self_s["run", layer] > 0 for layer in layers.RUN_LAYERS)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+def test_bench_cell_checks_pass(protocol):
+    cfg = SimConfig(protocol=protocol, nodes=9, layout="grid", duration=10.0,
+                    seed=3)
+    with cells.Recorder(timed=False).installed() as recorder:
+        Simulation(cfg).run()
+    assert [record.failures for record in recorder.records] == [[]]

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from antwsn.cli import main
-from antwsn.config import ConfigError, config_from_mapping
+from antwsn.config import ConfigError, SimConfig, config_from_mapping
+from antwsn.simulation import Simulation
 
 FAST = ["--nodes", "9", "--layout", "grid", "--duration", "8", "--seed", "3"]
 
@@ -174,6 +175,16 @@ class TestDumpTable:
         neighbor, dest, value = lines[1].split(",")
         assert dest == "sink"
         assert float(value) >= 0.0
+
+    def test_sink_node_prints_its_fresh_column(self, capsys):
+        sim = Simulation(SimConfig(protocol="babr", nodes=9, layout="grid",
+                                   duration=8, seed=3))
+        neighbors = sim.topology.neighbors[sim.sink_node]
+        code, out, _ = run_cli(capsys, "dump-table", "--protocol", "babr",
+                               "--node", str(sim.sink_node), *FAST)
+        assert code == 0
+        assert out.splitlines()[1:] == [f"{n},sink,{1.0 / len(neighbors)!r}"
+                                        for n in neighbors]
 
     def test_node_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "dump-table", "--node", "200",

@@ -19,28 +19,28 @@ from antwsn.routing import RoutingError, RoutingTable
 class TestReinforce:
     def test_even_split_and_small_factor(self):
         t = RoutingTable([1, 2])
-        reinforce(t, 1, "sink", 0.2)
-        assert t.get(1, "sink") == pytest.approx(0.6)
-        assert t.get(2, "sink") == pytest.approx(0.4)
-        t.normalize_check("sink")
+        reinforce(t, 1, 0.2)
+        assert t.get(1) == pytest.approx(0.6)
+        assert t.get(2) == pytest.approx(0.4)
+        t.normalize_check()
 
     def test_zero_factor_is_identity(self):
         t = RoutingTable([1, 2, 3])
-        t.set_column("sink", [0.5, 0.3, 0.2])
-        reinforce(t, 2, "sink", 0.0)
-        assert t.column("sink") == [0.5, 0.3, 0.2]
+        t.set_column([0.5, 0.3, 0.2])
+        reinforce(t, 2, 0.0)
+        assert t.column == [0.5, 0.3, 0.2]
 
     def test_full_factor_absorbs(self):
         t = RoutingTable([1, 2, 3])
-        reinforce(t, 3, "sink", 1.0)
-        assert t.column("sink") == [0.0, 0.0, 1.0]
+        reinforce(t, 3, 1.0)
+        assert t.column == [0.0, 0.0, 1.0]
 
     def test_factor_outside_unit_interval_rejected(self):
         t = RoutingTable([1, 2])
         with pytest.raises(RoutingError):
-            reinforce(t, 1, "sink", 1.1)
+            reinforce(t, 1, 1.1)
         with pytest.raises(RoutingError):
-            reinforce(t, 1, "sink", -0.1)
+            reinforce(t, 1, -0.1)
 
     def test_stays_normalized_under_random_sequences(self):
         rng = np.random.default_rng(11)
@@ -48,8 +48,8 @@ class TestReinforce:
             k = int(rng.integers(2, 8))
             t = RoutingTable(list(range(k)))
             for _ in range(int(rng.integers(1, 6))):
-                reinforce(t, int(rng.integers(0, k)), "sink", float(rng.random()))
-            t.normalize_check("sink")
+                reinforce(t, int(rng.integers(0, k)), float(rng.random()))
+            t.normalize_check()
 
 
 class _StubModel:

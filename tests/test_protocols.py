@@ -5,10 +5,13 @@ import pytest
 from conftest import build_sim
 
 from antwsn import kernel
-from antwsn.protocols.base import SINK, DataPacket
+from antwsn.config import PROTOCOL_NAMES, SimConfig
+from antwsn.protocols.base import DataPacket
 from antwsn.radio import (BACKWARD_ANT, BROADCAST, DATA, DATA_ANT,
                           FORWARD_ANT, Frame)
-from antwsn.routing import Ant
+from antwsn.routing import Ant, RoutingError
+from antwsn.scenario import from_points
+from antwsn.simulation import Simulation
 
 LINE3 = [(0, 0), (20, 0), (40, 0)]
 LINE5 = [(0, 0), (20, 0), (40, 0), (60, 0), (80, 0)]
@@ -40,11 +43,11 @@ class TestBasicAntTrace:
         assert c["bwd_ants_completed"] == 1
         # first-ever observation: r = c1 = 0.7, applied at the middle hop
         mid = sim.protocol.tables[1]
-        assert mid.get(2, SINK) == pytest.approx(0.85)
-        assert mid.get(0, SINK) == pytest.approx(0.15)
-        mid.normalize_check(SINK)
+        assert mid.get(2) == pytest.approx(0.85)
+        assert mid.get(0) == pytest.approx(0.15)
+        mid.normalize_check()
         # the source's only neighbor keeps probability one
-        assert sim.protocol.tables[0].get(1, SINK) == pytest.approx(1.0)
+        assert sim.protocol.tables[0].get(1) == pytest.approx(1.0)
 
     def test_dead_end_destroys_ant(self):
         sim = build_sim("babr", LINE3, sink=2)
@@ -67,11 +70,11 @@ class TestSensorGradient:
         q0, q2 = 40 / 35, 0.0
         best = 1.0 + min(q0, q2)
         w0, w2 = math.exp(best - q0), math.exp(best - q2)
-        assert mid.get(2, SINK) == pytest.approx(w2 / (w0 + w2))
-        assert mid.get(2, SINK) > mid.get(0, SINK)
-        mid.normalize_check(SINK)
+        assert mid.get(2) == pytest.approx(w2 / (w0 + w2))
+        assert mid.get(2) > mid.get(0)
+        mid.normalize_check()
         # nodes with one neighbor stay deterministic
-        assert sim.protocol.tables[0].get(1, SINK) == pytest.approx(1.0)
+        assert sim.protocol.tables[0].get(1) == pytest.approx(1.0)
 
 
 class TestFloodDiscipline:
@@ -119,7 +122,7 @@ class TestFloodedData:
         assert sim.counters["bwd_ants_completed"] >= 1
         # middle hop learned the sink direction from the backward ant
         mid = sim.protocol.tables[1]
-        assert mid.get(2, SINK) > 0.5
+        assert mid.get(2) > 0.5
         # the flooded copies carry payload plus the visited list
         data_ants = [f for f in sent if f.kind == DATA_ANT]
         assert data_ants
@@ -201,7 +204,7 @@ class TestPheromoneSelection:
                       payload={"uid": 5, "dtau": 0.2, "bd": 1})
         proto._on_backward_ant(1, frame)
         # fresh trail 1/3 decays by rho then takes the full deposit
-        assert proto.tables[1].get(2, SINK) == pytest.approx(0.9 / 3 + 0.2)
+        assert proto.tables[1].get(2) == pytest.approx(0.9 / 3 + 0.2)
         assert sim.counters["bwd_ants_completed"] == 1
         assert proto.caches[1].lookup(5, 0.0) is None
 
@@ -223,19 +226,19 @@ class TestSmartPriming:
         sim = build_sim("ieeabr", LINE3, sink=2)
         sim.protocol.start()
         mid = sim.protocol.tables[1]
-        col_sum = mid.get(0, SINK) + mid.get(2, SINK)
+        col_sum = mid.get(0) + mid.get(2)
         # the split fixes the odds; the scale matches an unprimed column
-        assert mid.get(2, SINK) / mid.get(0, SINK) == pytest.approx(13 / 3)
+        assert mid.get(2) / mid.get(0) == pytest.approx(13 / 3)
         assert col_sum == pytest.approx(2 * (1 / 3))
         # node 0 is not sink-adjacent and keeps the fresh uniform start
-        assert sim.protocol.tables[0].column(SINK) == [pytest.approx(1 / 3)]
+        assert sim.protocol.tables[0].column == [pytest.approx(1 / 3)]
 
     def test_repriming_follows_the_sink(self):
         sim = build_sim("ieeabr", LINE3, sink=2)
         sim.protocol.start()
         sim.protocol.on_sink_changed(2, 0)
         mid = sim.protocol.tables[1]
-        assert mid.get(0, SINK) / mid.get(2, SINK) == pytest.approx(13 / 3)
+        assert mid.get(0) / mid.get(2) == pytest.approx(13 / 3)
 
     def test_quota_cap_scales_with_network_size(self):
         sim = build_sim("ieeabr", LINE3, sink=2)
@@ -245,21 +248,21 @@ class TestSmartPriming:
         sim = build_sim("ieeabr", LINE3, sink=2)
         sim.protocol.start()
         mid = sim.protocol.tables[1]
-        before = sum(mid.column(SINK))
+        before = sum(mid.column)
         frame = Frame(src=1, dst=2, kind=DATA, size_bits=400, payload=None)
         sim.protocol.on_frame_lost(frame, "undelivered", dst_dead=True)
-        assert mid.get(2, SINK) == 0.0
-        assert mid.get(0, SINK) == pytest.approx(before)
+        assert mid.get(2) == 0.0
+        assert mid.get(0) == pytest.approx(before)
         assert sim.counters["link_failures_rerouted"] == 1
 
     def test_live_loss_does_not_redistribute(self):
         sim = build_sim("ieeabr", LINE3, sink=2)
         sim.protocol.start()
         mid = sim.protocol.tables[1]
-        col = list(mid.column(SINK))
+        col = list(mid.column)
         frame = Frame(src=1, dst=2, kind=DATA, size_bits=400, payload=None)
         sim.protocol.on_frame_lost(frame, "undelivered", dst_dead=False)
-        assert mid.column(SINK) == col
+        assert mid.column == col
 
 
 class TestDataPipeline:
@@ -278,11 +281,12 @@ class TestDataPipeline:
         sim.protocol.forward_data(0, packet, arrived_from=None)
         assert sim.counters["data_ttl_expired"] == 1
 
-    def test_tableless_node_has_no_route(self):
-        sim = build_sim("babr", LINE3, sink=2)
-        packet = DataPacket(uid=1, origin=0, created_at=0.0, ttl=5)
-        sim.protocol.forward_data(99, packet, arrived_from=None)
-        assert sim.counters["data_no_route"] == 1
+    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+    def test_isolated_node_fails_at_construction(self, protocol):
+        points = LINE3 + [(500, 500)]
+        cfg = SimConfig(protocol=protocol, nodes=len(points), duration=1.0)
+        with pytest.raises(RoutingError, match="no neighbors"):
+            Simulation(cfg, from_points(points, require_connected=False))
 
     def test_overheard_unicast_is_ignored(self):
         sim = build_sim("babr", LINE3, sink=2)

@@ -14,16 +14,16 @@ from antwsn.routing import (Ant, AntCache, PHEROMONE, PROBABILITY,
 class TestRoutingTable:
     def test_fresh_probability_column_is_uniform(self):
         t = RoutingTable([3, 7, 9])
-        assert t.column("sink") == [pytest.approx(1 / 3)] * 3
-        t.normalize_check("sink")
+        assert t.column == [pytest.approx(1 / 3)] * 3
+        t.normalize_check()
 
     def test_fresh_pheromone_column_defaults_to_uniform_mass(self):
         t = RoutingTable([1, 2], mode=PHEROMONE)
-        assert t.column("sink") == [0.5, 0.5]
+        assert t.column == [0.5, 0.5]
 
     def test_fresh_mass_pins_pheromone_scale(self):
         t = RoutingTable([1, 2, 3], mode=PHEROMONE, fresh_mass=0.02)
-        assert t.column("sink") == [0.02, 0.02, 0.02]
+        assert t.column == [0.02, 0.02, 0.02]
 
     def test_fresh_mass_rejected_in_probability_mode(self):
         with pytest.raises(RoutingError):
@@ -39,60 +39,58 @@ class TestRoutingTable:
 
     def test_get_set(self):
         t = RoutingTable([4, 5], mode=PHEROMONE)
-        t.set(5, "sink", 2.5)
-        assert t.get(5, "sink") == 2.5
-        assert t.get(4, "sink") == 0.5
+        t.set(5, 2.5)
+        assert t.get(5) == 2.5
+        assert t.get(4) == 0.5
         with pytest.raises(RoutingError):
-            t.set(4, "sink", -1.0)
+            t.set(4, -1.0)
 
     def test_set_column_validation(self):
         t = RoutingTable([1, 2])
         with pytest.raises(RoutingError):
-            t.set_column("sink", [0.5])            # wrong length
+            t.set_column([0.5])            # wrong length
         with pytest.raises(RoutingError):
-            t.set_column("sink", [-0.1, 1.1])      # negative entry
+            t.set_column([-0.1, 1.1])      # negative entry
         with pytest.raises(RoutingError):
-            t.set_column("sink", [0.6, 0.6])       # does not sum to 1
+            t.set_column([0.6, 0.6])       # does not sum to 1
 
     def test_pheromone_columns_need_not_normalize(self):
         t = RoutingTable([1, 2], mode=PHEROMONE)
-        t.set_column("sink", [3.0, 9.0])
-        assert t.column("sink") == [3.0, 9.0]
+        t.set_column([3.0, 9.0])
+        assert t.column == [3.0, 9.0]
 
-    def test_no_neighbors_rejected_lazily(self):
-        t = RoutingTable([])
+    def test_no_neighbors_rejected(self):
         with pytest.raises(RoutingError):
-            t.column("sink")
+            RoutingTable([])
 
     def test_sample_proportional(self):
         t = RoutingTable([10, 20], mode=PHEROMONE)
-        t.set_column("sink", [1.0, 3.0])
+        t.set_column([1.0, 3.0])
         rng = np.random.default_rng(0)
-        picks = [t.sample("sink", float(u)) for u in rng.random(8000)]
+        picks = [t.sample(float(u)) for u in rng.random(8000)]
         assert abs(picks.count(20) / 8000 - 0.75) < 0.02
 
     def test_sample_exclusion(self):
         t = RoutingTable([10, 20])
-        assert t.sample("sink", 0.99, exclude=(20,)) == 10
+        assert t.sample(0.99, exclude=(20,)) == 10
 
     def test_strict_sample_raises_when_everything_excluded(self):
         t = RoutingTable([10, 20])
         with pytest.raises(RoutingError):
-            t.sample("sink", 0.5, exclude=(10, 20), strict=True)
+            t.sample(0.5, exclude=(10, 20), strict=True)
 
     def test_lax_sample_ignores_total_exclusion(self):
         t = RoutingTable([10, 20])
-        assert t.sample("sink", 0.0, exclude=(10, 20)) == 10
+        assert t.sample(0.0, exclude=(10, 20)) == 10
 
     def test_sample_needs_positive_mass(self):
         t = RoutingTable([10, 20], mode=PHEROMONE)
-        t.set_column("sink", [0.0, 0.0])
+        t.set_column([0.0, 0.0])
         with pytest.raises(RoutingError):
-            t.sample("sink", 0.5)
+            t.sample(0.5)
 
     def test_rows_dump(self):
         t = RoutingTable([1, 2])
-        t.column("sink")
         rows = list(t.rows())
         assert rows == [(1, "sink", 0.5), (2, "sink", 0.5)]
 
