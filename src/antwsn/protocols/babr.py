@@ -57,8 +57,6 @@ class PathReinforceProtocol(Protocol):
 
     def launch_ant(self, node: int):
         sim = self.sim
-        if node == sim.sink_node:
-            return
         ant = Ant(uid=sim.new_ant_uid())
         ant.visit(node, sim.now)
         sim.count("fwd_ants_launched")

@@ -48,12 +48,13 @@ class Protocol:
         """Called once at t=0 after the network is wired."""
 
     def launch_ant(self, node: int):
-        """Periodic ant-launch tick for `node`; no-op for antless protocols."""
+        """Periodic ant-launch tick for `node`, which is never the sink;
+        no-op for antless protocols."""
 
     def on_sink_changed(self, old_node: int, new_node: int):
         pass
 
-    def on_timer(self, node: int, tag: str, data):
+    def on_timer(self, node: int, data):
         pass
 
     def on_frame_lost(self, frame: Frame, reason: str, dst_dead: bool):
@@ -78,16 +79,22 @@ class Protocol:
 
     # -- data pipeline -------------------------------------------------------
 
-    def on_data_generated(self, node: int):
+    def _new_packet(self, node: int):
+        """The packet for a reading sensed at `node`, or None at the sink:
+        the sink sensing an event needs no transport, so it is delivered at
+        once."""
         sim = self.sim
         if node == sim.sink_node:
-            # The sink sensing an event needs no transport.
             sim.record_delivered(sim.now, sim.now)
-            return
-        packet = DataPacket(uid=sim.new_packet_uid(), origin=node,
-                            created_at=sim.now,
-                            ttl=int(self.cfg.data_ttl_factor * sim.topology.n))
-        self.forward_data(node, packet, arrived_from=None)
+            return None
+        return DataPacket(uid=sim.new_packet_uid(), origin=node,
+                          created_at=sim.now,
+                          ttl=int(self.cfg.data_ttl_factor * sim.topology.n))
+
+    def on_data_generated(self, node: int):
+        packet = self._new_packet(node)
+        if packet is not None:
+            self.forward_data(node, packet, arrived_from=None)
 
     def on_data_frame(self, node: int, frame: Frame):
         if frame.dst != node:

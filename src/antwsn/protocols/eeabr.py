@@ -63,8 +63,6 @@ class EEABR(Protocol):
 
     def launch_ant(self, node: int):
         sim = self.sim
-        if node == sim.sink_node:
-            return
         ant = Ant(uid=sim.new_ant_uid())
         if not self._admit(ant):
             sim.count("fwd_ants_deferred")
@@ -78,7 +76,7 @@ class EEABR(Protocol):
         still drains normally."""
         sim = self.sim
         if node == sim.sink_node:
-            return sim.energy_budget
+            return self.cfg.energy_budget
         return sim.residual(node)
 
     def _pick_next(self, node: int, exclude):
@@ -93,7 +91,7 @@ class EEABR(Protocol):
         taus = [table.get(n) for n in candidates]
         residuals = [self._candidate_residual(n) for n in candidates]
         weights = selection_weights(taus, residuals, self.cfg.alpha,
-                                    self.cfg.beta, sim.energy_budget)
+                                    self.cfg.beta, self.cfg.energy_budget)
         if not any(w > 0 for w in weights):
             weights = [1.0] * len(candidates)
         return candidates[weighted_pick(weights, sim.rng.protocol.uniform())]
@@ -119,7 +117,7 @@ class EEABR(Protocol):
         if node == sim.sink_node:
             sim.count("fwd_ants_arrived")
             self._ant_died(ant)
-            dtau = trail_deposit(sim.energy_budget, ant.e_min, ant.e_avg,
+            dtau = trail_deposit(self.cfg.energy_budget, ant.e_min, ant.e_avg,
                                  len(ant.path), self.cfg.dtau_max)
             sim.send_frame(node, previous, BACKWARD_ANT, self.cfg.ant_bits,
                            {"uid": ant.uid, "dtau": dtau, "bd": 1})

@@ -8,8 +8,6 @@ from ..radio import BACKWARD_ANT, BROADCAST, FORWARD_ANT
 from ..routing import Ant
 from .babr import PathReinforceProtocol
 
-REBROADCAST = "flood-rebroadcast"
-
 
 def should_broadcast(p_sender: float, n_neighbors: int) -> bool:
     """Flood-control rule: rebroadcast only while the sender looks like a
@@ -24,14 +22,17 @@ class FF(PathReinforceProtocol):
 
     def __init__(self, sim):
         super().__init__(sim)
+        # Flood ant uids each node has seen, kept for the whole run. A node
+        # forks and rebroadcasts a uid only on its first sight of it, and the
+        # sink never rebroadcasts, so every copy's path holds distinct nodes.
+        # No time window can replace this: under MAC queueing a duplicate copy
+        # reaches a node tens of seconds after its first one.
         self._seen = [set() for _ in range(sim.topology.n)]
         self._pending = {}          # (node, ant uid) -> scheduled rebroadcast
         self._reinforced = set()    # nodes whose sink column has real opinions
 
     def launch_ant(self, node: int):
         sim = self.sim
-        if node == sim.sink_node:
-            return
         ant = Ant(uid=sim.new_ant_uid())
         ant.visit(node, sim.now)
         self._seen[node].add(ant.uid)
@@ -56,19 +57,16 @@ class FF(PathReinforceProtocol):
         if ant.uid in self._seen[node]:
             pending = self._pending.pop((node, ant.uid), None)
             if pending is not None:
-                sim.cancel_event(pending)  # someone beat us to it
+                sim.kernel.cancel(pending)  # someone beat us to it
             return
         self._seen[node].add(ant.uid)
-        mine = ant.fork()
-        mine.visit(node, sim.now)
-        if self._flood_overflow(mine):
-            sim.count("flood_overflow")
-            return
         if not self._want_rebroadcast(node, frame.src):
             return
+        mine = ant.fork()
+        mine.visit(node, sim.now)
         delay = sim.rng.protocol.uniform() * self.cfg.ff_delay_max
-        ev = sim.schedule_timer(sim.now + delay, node, REBROADCAST,
-                                (frame.kind, mine.uid, {**frame.payload, "ant": mine}))
+        ev = sim.schedule_timer(sim.now + delay, node,
+                                (frame.kind, {**frame.payload, "ant": mine}))
         self._pending[(node, mine.uid)] = ev
 
     def _flood_at_sink(self, node: int, frame):
@@ -77,9 +75,6 @@ class FF(PathReinforceProtocol):
         arrived = frame.payload["ant"].fork()
         arrived.visit(node, self.sim.now)
         self._start_backward(node, arrived)
-
-    def _flood_overflow(self, ant: Ant) -> bool:
-        return False
 
     def _want_rebroadcast(self, node: int, sender: int) -> bool:
         if node not in self._reinforced:
@@ -94,11 +89,10 @@ class FF(PathReinforceProtocol):
             return self.cfg.ant_bits
         return self.cfg.data_bits + self.cfg.ant_bits
 
-    def on_timer(self, node: int, tag: str, data):
-        if tag != REBROADCAST:
-            return
-        kind, uid, payload = data
-        self._pending.pop((node, uid), None)
+    def on_timer(self, node: int, data):
+        # The only timer a flood protocol sets is a scheduled rebroadcast.
+        kind, payload = data
+        self._pending.pop((node, payload["ant"].uid), None)
         self.sim.send_frame(node, BROADCAST, kind, self._flood_bits(kind), payload)
 
     def _apply_reinforcement(self, node: int, came_from: int, trip: float):

@@ -6,7 +6,6 @@ spawns a path-retracing backward ant. Delivery is counted once per packet.
 
 from ..radio import BROADCAST, DATA_ANT
 from ..routing import Ant
-from .base import DataPacket
 from .ff import FF
 
 
@@ -19,13 +18,10 @@ class FP(FF):
         self._delivered = set()     # packet uids already counted at the sink
 
     def on_data_generated(self, node: int):
-        sim = self.sim
-        if node == sim.sink_node:
-            sim.record_delivered(sim.now, sim.now)
+        packet = self._new_packet(node)
+        if packet is None:
             return
-        packet = DataPacket(uid=sim.new_packet_uid(), origin=node,
-                            created_at=sim.now,
-                            ttl=int(self.cfg.data_ttl_factor * sim.topology.n))
+        sim = self.sim
         ant = Ant(uid=sim.new_ant_uid())
         ant.visit(node, sim.now)
         self._seen[node].add(ant.uid)
@@ -39,7 +35,3 @@ class FP(FF):
             self._delivered.add(packet.uid)
             sim.record_delivered(packet.created_at, sim.now)
         super()._flood_at_sink(node, frame)
-
-    def _flood_overflow(self, ant: Ant) -> bool:
-        # A visited list longer than the network has looped somehow.
-        return len(ant.path) > self.sim.topology.n

@@ -53,8 +53,8 @@ class EnergyLedger:
     def __init__(self, n: int, initial: float):
         self.n = n
         self.initial = float(initial)
-        self.residual = np.full(n, float(initial))
-        self.spent = {k: np.zeros(n) for k in self.CATEGORIES}
+        self.residual = [self.initial] * n
+        self.spent = {k: [0.0] * n for k in self.CATEGORIES}
 
     def charge(self, node: int, kind: str, amount: float) -> float:
         """Debit up to `amount` from `node`; returns the amount actually debited."""
@@ -64,19 +64,21 @@ class EnergyLedger:
         debit = amount if amount <= left else left
         self.residual[node] = left - debit
         self.spent[kind][node] += debit
-        return float(debit)
+        return debit
 
     def alive(self, node: int) -> bool:
         return self.residual[node] > 0.0
 
     def alive_mask(self) -> np.ndarray:
-        return self.residual > 0.0
+        return np.array(self.residual) > 0.0
 
+    # The totals use numpy's pairwise summation, not `sum`, which compensates
+    # for rounding on newer Pythons and would move the reported energy's bits.
     def total_spent(self) -> float:
-        return float(sum(arr.sum() for arr in self.spent.values()))
+        return float(sum(np.sum(values) for values in self.spent.values()))
 
     def total_consumed(self) -> float:
-        return float(self.initial * self.n - self.residual.sum())
+        return float(self.initial * self.n - np.sum(self.residual))
 
     def conservation_gap(self) -> float:
         """Relative difference between consumed energy and the category sums."""
@@ -155,16 +157,16 @@ class Medium:
         pos = np.asarray(positions, dtype=float)
         self.n = len(pos)
         diff = pos[:, None, :] - pos[None, :, :]
-        self.dist = np.sqrt((diff**2).sum(axis=2))
-        self.ideal = cfg.p_transmit / (1.0 + self.dist**cfg.gamma)
+        dist = np.sqrt((diff**2).sum(axis=2))
+        self.ideal = cfg.p_transmit / (1.0 + dist**cfg.gamma)
         # Geometric disk used for carrier sensing (deterministic by design).
-        self.in_range = self.dist <= cfg.tx_radius
-        np.fill_diagonal(self.in_range, False)
-        self._in_range_rows = self.in_range.tolist()
+        in_range = dist <= cfg.tx_radius
+        np.fill_diagonal(in_range, False)
+        self._in_range_rows = in_range.tolist()
 
         self._queues = [[] for _ in range(self.n)]
         self._inflight = []
-        self._last_idle = np.zeros(self.n)
+        self._last_idle = [0.0] * self.n
         self.collisions = 0
         self.frames_sent = 0
         self.frames_delivered = 0

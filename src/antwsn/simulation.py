@@ -132,7 +132,10 @@ class Simulation:
     def _handle_ant_launch(self, ev):
         node = ev.payload
         if self.ledger.alive(node):
-            self.protocol.launch_ant(node)
+            # The sink never launches ants. Its tick keeps recurring, since
+            # the sink can move away from this node.
+            if node != self.sink_node:
+                self.protocol.launch_ant(node)
             self.kernel.schedule(ev.time + self.cfg.ant_interval,
                                  kernel.ANT_LAUNCH, node)
 
@@ -157,9 +160,9 @@ class Simulation:
         self.kernel.schedule(ev.time + self.cfg.sink_update_period, kernel.SINK_MOVE)
 
     def _handle_proto_timer(self, ev):
-        node, tag, data = ev.payload
+        node, data = ev.payload
         if self.ledger.alive(node):
-            self.protocol.on_timer(node, tag, data)
+            self.protocol.on_timer(node, data)
 
     # -- medium callbacks ---------------------------------------------------
 
@@ -178,21 +181,14 @@ class Simulation:
         return self.kernel.now()
 
     def residual(self, node: int) -> float:
-        return float(self.ledger.residual[node])
-
-    @property
-    def energy_budget(self) -> float:
-        return self.cfg.energy_budget
+        return self.ledger.residual[node]
 
     def send_frame(self, src: int, dst: int, kind: str, size_bits: int, payload):
         self.medium.send(Frame(src=src, dst=dst, kind=kind,
                                size_bits=size_bits, payload=payload))
 
-    def schedule_timer(self, time: float, node: int, tag: str, data=None):
-        return self.kernel.schedule(time, kernel.PROTO_TIMER, (node, tag, data))
-
-    def cancel_event(self, event):
-        self.kernel.cancel(event)
+    def schedule_timer(self, time: float, node: int, data):
+        return self.kernel.schedule(time, kernel.PROTO_TIMER, (node, data))
 
     def new_ant_uid(self) -> int:
         return next(self._ant_uids)
@@ -237,7 +233,7 @@ class Simulation:
             conservation_rel_gap=rel_gap,
             max_live_forward_ants=quota.max_live if quota is not None else None,
             counters=dict(self.counters),
-            residuals=[float(r) for r in self.ledger.residual],
+            residuals=list(self.ledger.residual),
             trace_sha256=self._trace.hexdigest(),
             dispatched_events=self.kernel.dispatched,
         )

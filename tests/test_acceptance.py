@@ -183,7 +183,7 @@ def test_c3_selection_distribution_and_deposit_monotonicity():
     taus = [table.get(n) for n in cands]
     residuals = [proto._candidate_residual(n) for n in cands]
     weights = selection_weights(taus, residuals, cfg.alpha, cfg.beta,
-                                sim.energy_budget)
+                                cfg.energy_budget)
     expected = [w / sum(weights) for w in weights]
 
     draws = 100_000

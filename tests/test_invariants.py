@@ -1,8 +1,8 @@
 """Invariants the protocol comparison rests on, checked on random connected
 fields rather than on fixed seeds: the energy books balance, probability
 columns stay normalized and nonnegative, ieeabr's live forward ants stay
-under the cap and each rides a queued or in-flight frame, and one seed gives
-one run.
+under the cap and each rides a queued or in-flight frame, every ant path
+that reaches the sink is loop-free, and one seed gives one run.
 
 Each cell runs one of the oracle's radio variants. Node failures are
 injected from outside the simulator: a test event kind, registered on the
@@ -40,7 +40,17 @@ def run_cell(points, protocol, seed, scenario, variant, pressure, failures):
     sim.kernel.on(NODE_FAILURE, drain)
     for t, node in failures:
         sim.kernel.schedule(t, NODE_FAILURE, node % len(points))
-    return sim, sim.run()
+
+    # The path-carrying protocols answer each arriving ant here, with its
+    # full path; the pheromone pair keeps no path.
+    arrived = []
+    start_backward = getattr(sim.protocol, "_start_backward", None)
+    if start_backward is not None:
+        def record(sink_node, ant):
+            arrived.append([node for node, _ in ant.path])
+            start_backward(sink_node, ant)
+        sim.protocol._start_backward = record
+    return sim, sim.run(), arrived
 
 
 def outcome(result):
@@ -62,7 +72,7 @@ PRESSURES = [(0.5, 5), (0.05, 1)]
 def test_invariants_hold_on_random_fields(points, protocol, seed, scenario,
                                           variant, pressure, failures):
     cell = (points, protocol, seed, scenario, variant, pressure, failures)
-    sim, result = run_cell(*cell)
+    sim, result, arrived = run_cell(*cell)
 
     assert result.conservation_rel_gap <= TOL
     for node, table in sim.protocol.tables.items():
@@ -78,5 +88,10 @@ def test_invariants_hold_on_random_fields(points, protocol, seed, scenario,
                           for queue in sim.medium._queues for frame in queue)
         assert quota.live == queued_ants
 
-    _, twin = run_cell(*cell)
+    # Only the last entry, the node that answered, may repeat: a moving sink
+    # can settle on a node the ant has already visited.
+    for path in arrived:
+        assert len(set(path[:-1])) == len(path) - 1, path
+
+    _, twin, _ = run_cell(*cell)
     assert outcome(twin) == outcome(result)

@@ -141,13 +141,6 @@ class TestFloodedData:
         assert sim.metrics.delivered == 1
         assert sim.counters["fwd_ants_arrived"] == 2  # both copies answered
 
-    def test_oversized_visited_list_is_a_loop(self):
-        sim = build_sim("fp", LINE3, sink=2)
-        ant = Ant(uid=1)
-        for node in (0, 1, 0, 1):
-            ant.visit(node, 0.0)
-        assert sim.protocol._flood_overflow(ant) is True
-
     def test_no_periodic_ants(self):
         sim = build_sim("fp", LINE3, sink=2)
         assert sim.protocol.launches_ants is False
