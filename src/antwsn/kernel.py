@@ -122,8 +122,9 @@ class RandomStream:
             return 0.0
         return float(self._gen.normal(0.0, sigma))
 
-    def normals(self, sigma: float, n: int) -> np.ndarray:
-        """Vector of n zero-mean normal draws."""
+    def normals(self, sigma: float, n: int | tuple[int, ...]) -> np.ndarray:
+        """Vector of n zero-mean normal draws, or an array of shape n filled
+        in C order with the draws that successive calls would give."""
         if sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {sigma}")
         if sigma == 0:

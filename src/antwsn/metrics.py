@@ -31,6 +31,24 @@ class RunMetrics:
             return None
         return self.latency_sum / self.delivered
 
+    def latency_percentiles(self):
+        """(p50, p95, max) seconds from generation to sink arrival; all None
+        when nothing was delivered. A percentile interpolates linearly between
+        the two nearest order statistics (Hyndman-Fan type 7, numpy's default
+        method), computed here without numpy's percentile, whose first call
+        imports numpy.ma and adds about 2 MB to the process."""
+        if not self.latencies:
+            return None, None, None
+        ordered = sorted(self.latencies)
+        last = len(ordered) - 1
+
+        def percentile(q):
+            pos = last * q
+            lo = int(pos)
+            hi = min(lo + 1, last)
+            return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
+        return percentile(0.5), percentile(0.95), ordered[-1]
+
     @property
     def success_rate_pct(self) -> float:
         if self.generated == 0:

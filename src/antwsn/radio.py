@@ -17,6 +17,11 @@ from .config import SimConfig
 
 BROADCAST = -1
 
+# Frames of link noise drawn per call to the radio stream. Each frame's noise
+# is one row of the block, so the block size changes no draw, only how many
+# calls fetch them; 32 rows keep a 100-node block near 50 kB.
+NOISE_BLOCK = 32
+
 # Frame payload kinds.
 FORWARD_ANT = "forward-ant"
 BACKWARD_ANT = "backward-ant"
@@ -45,7 +50,9 @@ class EnergyLedger:
 
     Residual never goes below zero; a charge that would overdraw debits only
     what is left, so sum(initial - residual) == sum(spent_*) holds exactly.
-    A node with residual 0 is dead and stays dead.
+    A node with residual 0 is dead and stays dead. `alive_bits` is the set
+    of live nodes as an int bitset (bit i = node i); `charge` clears a node's
+    bit when it takes the node's last joule.
     """
 
     CATEGORIES = ("tx", "rx", "idle")
@@ -55,13 +62,18 @@ class EnergyLedger:
         self.initial = float(initial)
         self.residual = [self.initial] * n
         self.spent = {k: [0.0] * n for k in self.CATEGORIES}
+        self.alive_bits = (1 << n) - 1 if self.initial > 0.0 else 0
 
     def charge(self, node: int, kind: str, amount: float) -> float:
         """Debit up to `amount` from `node`; returns the amount actually debited."""
         if amount < 0:
             raise ValueError("charge amount must be >= 0")
         left = self.residual[node]
-        debit = amount if amount <= left else left
+        if amount < left:
+            debit = amount
+        else:
+            debit = left
+            self.alive_bits &= ~(1 << node)
         self.residual[node] = left - debit
         self.spent[kind][node] += debit
         return debit
@@ -134,6 +146,10 @@ class Medium:
     Receiver sets are int bitsets (bit i = node i), and a frame's surviving
     receivers are charged and handed to `deliver` in ascending node id.
 
+    Link noise comes from the medium's private radio stream in blocks of
+    NOISE_BLOCK frames, one `normals` call per block; the j-th frame aired
+    takes the j-th row, so the draws are the ones a call per frame would give.
+
     Callbacks:
       deliver(node, frame)            -- frame survived at `node`
       on_undelivered(frame, dst_dead) -- unicast frame whose addressee got nothing
@@ -167,6 +183,9 @@ class Medium:
         self._queues = [[] for _ in range(self.n)]
         self._inflight = []
         self._last_idle = [0.0] * self.n
+        # Per-frame noise rows, drawn when the first frame airs.
+        self._gain = self._offset = None
+        self._noise_row = NOISE_BLOCK
         self.collisions = 0
         self.frames_sent = 0
         self.frames_delivered = 0
@@ -278,25 +297,36 @@ class Medium:
         self.frames_sent += 1
         self.sim.schedule(t1, kernel.TX_END, tr)
 
+    def _draw_noise(self):
+        """Draw the next NOISE_BLOCK frames' noise with one call. Row j of
+        `_gain` is 1 + alpha and row j of `_offset` is beta for the j-th frame;
+        a sigma of zero draws nothing and leaves gain 1 or offset 0. The
+        stream yields the unit draws in the order successive per-frame
+        `normals(sigma, n)` calls would, alpha before beta, and sigma * z is
+        the same float either way."""
+        cfg = self.cfg
+        alpha, beta = cfg.sigma_alpha > 0.0, cfg.sigma_beta > 0.0
+        z = self.rng_radio.normals(1.0, (NOISE_BLOCK, alpha + beta, self.n))
+        shape = (NOISE_BLOCK, self.n)
+        self._gain = 1.0 + cfg.sigma_alpha * z[:, 0] if alpha else np.ones(shape)
+        self._offset = cfg.sigma_beta * z[:, -1] if beta else np.zeros(shape)
+        self._noise_row = 0
+
     def _audible(self, src) -> int:
         """Who can hear this transmission, as a bitset: perturbed power over
         threshold, alive, not the sender, and not currently transmitting
-        themselves."""
-        cfg = self.cfg
-        ideal = self.ideal[src]
-        if cfg.sigma_alpha > 0.0:
-            power = ideal * (1.0 + self.rng_radio.normals(cfg.sigma_alpha, self.n))
-        else:
-            power = ideal.copy()
-        if cfg.sigma_beta > 0.0:
-            power += self.rng_radio.normals(cfg.sigma_beta, self.n)
-        np.maximum(power, 0.0, out=power)
-        cand = (power >= self.rx_threshold) & self.ledger.alive_mask()
+        themselves. The threshold is > 0, so power needs no clamp at zero."""
+        if self._noise_row == NOISE_BLOCK:
+            self._draw_noise()
+        j = self._noise_row
+        self._noise_row = j + 1
+        power = self.ideal[src] * self._gain[j] + self._offset[j]
+        cand = power >= self.rx_threshold
         bits = int.from_bytes(np.packbits(cand, bitorder="little").tobytes(), "little")
         off = 1 << src
         for tr in self._inflight:
             off |= 1 << tr.frame.src
-        return bits & ~off
+        return bits & self.ledger.alive_bits & ~off
 
     def _mark_collisions(self, new: _Transmission):
         cand = new.candidates
@@ -313,7 +343,9 @@ class Medium:
     def _handle_tx_end(self, ev):
         tr = ev.payload
         self._inflight.remove(tr)
-        receivers = tr.candidates & ~tr.lost
+        # A receiver's own charges are the only ones that can kill it, and
+        # they come after its turn, so the live set can be taken up front.
+        receivers = tr.candidates & ~tr.lost & self.ledger.alive_bits
         delivered = []
         rx_cost = self.cfg.e_rx_per_bit * tr.frame.size_bits
         idle = self.cfg.e_idle_per_s
@@ -321,8 +353,6 @@ class Medium:
             low = receivers & -receivers
             receivers ^= low
             node = low.bit_length() - 1
-            if not self.ledger.alive(node):
-                continue
             if idle:
                 self.settle_idle(node)
             debited = self.ledger.charge(node, "rx", rx_cost)

@@ -41,6 +41,9 @@ class RunResult:
     generated: int
     delivered: int
     latency_s: float | None
+    latency_p50_s: float | None
+    latency_p95_s: float | None
+    latency_max_s: float | None
     success_rate_pct: float
     energy_j: float
     efficiency_kbit_per_j: float
@@ -213,6 +216,7 @@ class Simulation:
         energy = self.ledger.total_consumed()
         rel_gap = self.ledger.conservation_gap()
         quota = getattr(self.protocol, "quota", None)
+        p50, p95, worst = self.metrics.latency_percentiles()
 
         self.counters["frames_sent"] = self.medium.frames_sent
         self.counters["frames_delivered"] = self.medium.frames_delivered
@@ -227,6 +231,9 @@ class Simulation:
             generated=self.metrics.generated,
             delivered=self.metrics.delivered,
             latency_s=self.metrics.latency_mean,
+            latency_p50_s=p50,
+            latency_p95_s=p95,
+            latency_max_s=worst,
             success_rate_pct=self.metrics.success_rate_pct,
             energy_j=energy,
             efficiency_kbit_per_j=self.metrics.efficiency_kbit_per_j(energy),

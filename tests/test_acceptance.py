@@ -5,7 +5,8 @@ capture in a plain `pytest` invocation.
 
 The comparative-behavior criteria (6, 7) run four experiment plans that the
 faster criteria (4, 9) also reuse. Everything is seeded; a verdict here is
-reproducible bit-for-bit on any machine.
+reproducible bit-for-bit on any machine. The tests that need the plans (6,
+7, 9) carry the `slow` marker, so `pytest -m "not slow"` leaves them out.
 """
 
 import sys
@@ -245,6 +246,7 @@ def test_c5_cyclic_ants_die_within_one_lap():
 
 # -- criterion 6: static comparison -------------------------------------------
 
+@pytest.mark.slow
 def test_c6_static_orderings(static_pressure, static_delivery, static_scale):
     pressure, t1 = static_pressure
     delivery, t2 = static_delivery
@@ -285,6 +287,7 @@ def test_c6_static_orderings(static_pressure, static_delivery, static_scale):
 
 # -- criterion 7: dynamic comparison ------------------------------------------
 
+@pytest.mark.slow
 def test_c7_dynamic_orderings(dynamic_pressure):
     table, elapsed = dynamic_pressure
     e_eeabr = table.cell_mean("eeabr", 49, "dynamic", "energy_J")
@@ -315,6 +318,7 @@ def test_c8_byte_identical_outputs():
 
 # -- criterion 9: energy conservation ------------------------------------------
 
+@pytest.mark.slow
 def test_c9_energy_books_balance_in_all_runs(static_pressure, static_delivery,
                                              static_scale, dynamic_pressure):
     worst = 0.0

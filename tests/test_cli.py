@@ -31,8 +31,9 @@ class TestRun:
         assert code == 0
         data = json.loads(out)
         assert data["protocol"] == "fp"
-        assert data["generated"] >= data["delivered"] >= 0
+        assert data["generated"] >= data["delivered"] > 0
         assert len(data["trace_sha256"]) == 64
+        assert 0 < data["latency_p50_s"] <= data["latency_p95_s"] <= data["latency_max_s"]
 
     def test_out_writes_single_row_csv(self, capsys, tmp_path):
         out_dir = tmp_path / "one"

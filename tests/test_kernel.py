@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antwsn.kernel import (RandomStream, RandomStreams, SchedulingError,
                            Simulator, weighted_pick)
@@ -116,6 +118,17 @@ class TestRandomStream:
         st = RandomStream(1, "s")
         assert st.normal(0.0) == 0.0
         assert np.array_equal(st.normals(0.0, 4), np.zeros(4))
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32), rows=st.integers(1, 40), n=st.integers(1, 120),
+           sigma=st.floats(1e-6, 10.0))
+    def test_block_draw_equals_successive_calls(self, seed, rows, n, sigma):
+        # The radio draws a block of unit normals and scales it; that must
+        # give, bit for bit, the draws of one normals(sigma, n) call per row.
+        block = sigma * RandomStream(seed, "radio").normals(1.0, (rows, 2, n))
+        twin = RandomStream(seed, "radio")
+        calls = np.array([twin.normals(sigma, n) for _ in range(rows * 2)])
+        assert block.reshape(rows * 2, n).tobytes() == calls.tobytes()
 
     def test_negative_sigma_rejected(self):
         st = RandomStream(1, "s")

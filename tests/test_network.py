@@ -1,6 +1,7 @@
 """Whole-network runs: every protocol finishes on a small grid, the summary
 figures obey their identities, and equal seeds reproduce byte-equal traces."""
 
+import numpy as np
 import pytest
 
 from antwsn.config import SimConfig
@@ -49,8 +50,11 @@ class TestEveryProtocolRuns:
         assert r.efficiency_kbit_per_j == pytest.approx(want, abs=1e-9)
         if r.delivered:
             assert r.latency_s > 0
+            assert 0 < r.latency_p50_s <= r.latency_p95_s <= r.latency_max_s
+            assert r.latency_s <= r.latency_max_s
         else:
             assert r.latency_s is None
+            assert r.latency_p50_s is r.latency_p95_s is r.latency_max_s is None
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("scenario", ("static", "dynamic"))
@@ -113,6 +117,7 @@ class TestRunMetrics:
     def test_empty_run_has_absent_latency(self):
         m = RunMetrics()
         assert m.latency_mean is None
+        assert m.latency_percentiles() == (None, None, None)
         assert m.success_rate_pct == 0.0
         assert m.efficiency_kbit_per_j(5.0) == 0.0
 
@@ -124,6 +129,16 @@ class TestRunMetrics:
         assert m.latency_mean == pytest.approx(2.0)
         assert m.success_rate_pct == pytest.approx(50.0)
         assert m.efficiency_kbit_per_j(2.0) == pytest.approx(0.2)
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 20, 101])
+    def test_latency_percentiles_match_numpy(self, count):
+        latencies = np.random.default_rng(count).exponential(0.1, count)
+        m = RunMetrics()
+        for latency in latencies:
+            m.record_delivered(0.0, float(latency), 400)
+        p50, p95, worst = m.latency_percentiles()
+        assert [p50, p95] == pytest.approx(np.percentile(latencies, [50, 95]), rel=1e-12)
+        assert worst == latencies.max()
 
     def test_time_travel_rejected(self):
         m = RunMetrics()

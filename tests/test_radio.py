@@ -2,6 +2,8 @@
 networks with the disturbance turned off (deterministic radio)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antwsn.config import SimConfig
 from antwsn.kernel import MAC_RETRY, RandomStream, Simulator
@@ -53,6 +55,31 @@ class TestEnergyLedger:
         # dead node pays nothing more
         assert led.charge(0, "rx", 1.0) == 0.0
         assert led.conservation_gap() == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(initial=st.sampled_from([0.0, 1.0, 2.5, 0.1]),
+           ops=st.lists(st.tuples(
+               st.integers(0, 4), st.sampled_from(EnergyLedger.CATEGORIES),
+               st.one_of(st.sampled_from(["exact", "over", "zero"]),
+                         st.floats(0.0, 1.5))), max_size=40))
+    def test_alive_bits_track_residuals(self, initial, ops):
+        # `amount` is a float, or the node's exact residual, twice it plus
+        # one (overdraw), or zero (also on dead nodes). The ledger must keep
+        # the bits of the clamped debit rule modelled here, so its totals and
+        # conservation_gap() are those the rule gives.
+        led = EnergyLedger(5, initial)
+        residual = [initial] * 5
+        spent = {k: [0.0] * 5 for k in EnergyLedger.CATEGORIES}
+        for node, kind, amount in ops:
+            left = residual[node]
+            amount = {"exact": left, "over": 2 * left + 1.0, "zero": 0.0}.get(amount, amount)
+            debit = amount if amount <= left else left
+            residual[node] = left - debit
+            spent[kind][node] += debit
+            assert led.charge(node, kind, amount) == debit
+            assert led.alive_bits == sum(1 << i for i, r in enumerate(residual) if r > 0)
+        assert (led.residual, led.spent) == (residual, spent)
+        assert all(led.alive(i) == bool(led.alive_bits >> i & 1) for i in range(5))
 
     def test_negative_charge_rejected(self):
         led = EnergyLedger(1, 2.0)

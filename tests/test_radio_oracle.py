@@ -4,18 +4,22 @@ as it runs on the numpy-vector medium kept in `tests/radio_reference.py`.
 The golden corpus pins 18 fixed cells; this draws small connected fields of
 4-30 nodes, each protocol, seeds and radio variants (idle draw, nodes that
 die, busy drops with no retries, decode range beyond the carrier-sense disk,
-a noiseless channel), and requires the same event schedule, event count,
-counters and residual energies from both media.
+noise on one of the two disturbance terms only, a noiseless channel), and
+requires the same event schedule, event count, counters and residual
+energies from both media. A fixed 49-node cell airs enough frames to cross
+many of the production medium's noise blocks under every sigma combination.
 """
 
 import math
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import radio_reference
 from antwsn.config import PROTOCOL_NAMES, SimConfig
+from antwsn.radio import NOISE_BLOCK
 from antwsn.scenario import from_points
 from antwsn.simulation import run_single
 
@@ -25,8 +29,11 @@ VARIANTS = {
     "drained": dict(initial_energy=0.01),
     "no retries": dict(max_retries=0),
     "low threshold": dict(rx_threshold=3e-4),
+    "alpha only": dict(sigma_beta=0.0),
+    "beta only": dict(sigma_alpha=0.0),
     "zero sigmas": dict(sigma_alpha=0.0, sigma_beta=0.0),
 }
+SIGMA_VARIANTS = ("default", "alpha only", "beta only", "zero sigmas")
 
 
 @st.composite
@@ -46,6 +53,13 @@ def connected_points(draw):
     return [(x - x0, y - y0) for x, y in points]
 
 
+def both_media(cfg, topology=None):
+    """The cell's result on the production medium, then on the reference."""
+    production = run_single(cfg, topology)
+    with mock.patch("antwsn.simulation.Medium", radio_reference.Medium):
+        return production, run_single(cfg, topology)
+
+
 def outcome(result):
     return (result.trace_sha256, result.dispatched_events, result.counters,
             result.residuals)
@@ -57,7 +71,13 @@ def outcome(result):
 def test_medium_matches_the_numpy_reference(points, protocol, seed, variant):
     cfg = SimConfig(protocol=protocol, nodes=len(points), seed=seed,
                     duration=5.0, ant_interval=0.5, **VARIANTS[variant])
-    production = run_single(cfg, from_points(points, tx_radius=cfg.tx_radius))
-    with mock.patch("antwsn.simulation.Medium", radio_reference.Medium):
-        reference = run_single(cfg, from_points(points, tx_radius=cfg.tx_radius))
+    production, reference = both_media(cfg, from_points(points, tx_radius=cfg.tx_radius))
+    assert outcome(production) == outcome(reference)
+
+
+@pytest.mark.parametrize("variant", SIGMA_VARIANTS)
+def test_many_noise_blocks_match_the_numpy_reference(variant):
+    cfg = SimConfig(nodes=49, duration=20.0, seed=1, **VARIANTS[variant])
+    production, reference = both_media(cfg)
+    assert production.counters["frames_sent"] > 100 * NOISE_BLOCK
     assert outcome(production) == outcome(reference)
