@@ -22,12 +22,13 @@ class FF(PathReinforceProtocol):
 
     def __init__(self, sim):
         super().__init__(sim)
-        # Flood ant uids each node has seen, kept for the whole run. A node
-        # forks and rebroadcasts a uid only on its first sight of it, and the
-        # sink never rebroadcasts, so every copy's path holds distinct nodes.
-        # No time window can replace this: under MAC queueing a duplicate copy
-        # reaches a node tens of seconds after its first one.
-        self._seen = [set() for _ in range(sim.topology.n)]
+        # Flood ant uid -> the nodes that have seen it, as an int bitset (bit
+        # i = node i), kept for the whole run. A node forks and rebroadcasts a
+        # uid only on its first sight of it, and the sink never rebroadcasts,
+        # so every copy's path holds distinct nodes. No time window can
+        # replace this: under MAC queueing a duplicate copy reaches a node
+        # tens of seconds after its first one.
+        self._seen = {}
         self._pending = {}          # (node, ant uid) -> scheduled rebroadcast
         self._reinforced = set()    # nodes whose sink column has real opinions
 
@@ -35,7 +36,7 @@ class FF(PathReinforceProtocol):
         sim = self.sim
         ant = Ant(uid=sim.new_ant_uid())
         ant.visit(node, sim.now)
-        self._seen[node].add(ant.uid)
+        self._first_sight(node, ant.uid)
         sim.count("fwd_ants_launched")
         sim.send_frame(node, BROADCAST, FORWARD_ANT, self.cfg.ant_bits, {"ant": ant})
 
@@ -54,12 +55,11 @@ class FF(PathReinforceProtocol):
         if node == sim.sink_node:
             self._flood_at_sink(node, frame)
             return
-        if ant.uid in self._seen[node]:
+        if not self._first_sight(node, ant.uid):
             pending = self._pending.pop((node, ant.uid), None)
             if pending is not None:
                 sim.kernel.cancel(pending)  # someone beat us to it
             return
-        self._seen[node].add(ant.uid)
         if not self._want_rebroadcast(node, frame.src):
             return
         mine = ant.fork()
@@ -68,6 +68,15 @@ class FF(PathReinforceProtocol):
         ev = sim.schedule_timer(sim.now + delay, node,
                                 (frame.kind, {**frame.payload, "ant": mine}))
         self._pending[(node, mine.uid)] = ev
+
+    def _first_sight(self, node: int, uid: int) -> bool:
+        """Mark flood `uid` as seen at `node`; True if it had not been."""
+        seen = self._seen.get(uid, 0)
+        bit = 1 << node
+        if seen & bit:
+            return False
+        self._seen[uid] = seen | bit
+        return True
 
     def _flood_at_sink(self, node: int, frame):
         # Every copy reaching the sink earns its own backward ant.

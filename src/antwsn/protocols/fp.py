@@ -24,7 +24,7 @@ class FP(FF):
         sim = self.sim
         ant = Ant(uid=sim.new_ant_uid())
         ant.visit(node, sim.now)
-        self._seen[node].add(ant.uid)
+        self._first_sight(node, ant.uid)
         sim.send_frame(node, BROADCAST, DATA_ANT, self._flood_bits(DATA_ANT),
                        {"packet": packet, "ant": ant})
 

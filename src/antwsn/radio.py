@@ -49,10 +49,15 @@ class EnergyLedger:
     """Per-node residual energy plus cumulative tx/rx/idle spend.
 
     Residual never goes below zero; a charge that would overdraw debits only
-    what is left, so sum(initial - residual) == sum(spent_*) holds exactly.
-    A node with residual 0 is dead and stays dead. `alive_bits` is the set
-    of live nodes as an int bitset (bit i = node i); `charge` clears a node's
-    bit when it takes the node's last joule.
+    what is left. Each debit is booked in `spent` as is, but the residual is
+    a float subtraction, rounded to the residual's precision, so
+    sum(initial - residual) == sum(spent_*) holds only up to that rounding:
+    a charge below half an ulp of the residual is booked in `spent` and
+    leaves the residual unchanged. In real runs the gap stays near 1e-11
+    relative; for `EnergyLedger(5, 1.0).charge(0, "tx", 1e-30)` alone,
+    `conservation_gap()` is 1.0. A node with residual 0 is dead and stays
+    dead. `alive_bits` is the set of live nodes as an int bitset (bit i =
+    node i); `charge` clears a node's bit when it takes the node's last joule.
     """
 
     CATEGORIES = ("tx", "rx", "idle")

@@ -56,7 +56,12 @@ class RunResult:
 
 
 class Simulation:
-    """Deterministic single run; construct, then call run() exactly once."""
+    """Deterministic single run; construct, then call run() exactly once.
+
+    A finished run keeps its tables, quota, MAC queues, ledger and clock
+    readable, but holds no reference cycle, so it is freed by refcount as
+    soon as its caller drops it.
+    """
 
     def __init__(self, cfg: SimConfig, topology: Topology | None = None):
         self.cfg = cfg
@@ -222,7 +227,7 @@ class Simulation:
         self.counters["frames_delivered"] = self.medium.frames_delivered
         self.counters["collisions"] = self.medium.collisions
 
-        return RunResult(
+        result = RunResult(
             protocol=cfg.protocol,
             nodes=self.topology.n,
             scenario=cfg.scenario,
@@ -244,6 +249,20 @@ class Simulation:
             trace_sha256=self._trace.hexdigest(),
             dispatched_events=self.kernel.dispatched,
         )
+        self._release()
+        return result
+
+    def _release(self):
+        """Cut the references that tie the finished run into cycles (the
+        kernel's bound handlers, the medium's callbacks into this simulation
+        and its protocol, and the protocol's link back here) and drop the
+        events left pending, which nothing will dispatch. The medium's
+        callbacks are the three that every medium takes."""
+        self.kernel._handlers.clear()
+        self.kernel._heap.clear()
+        medium = self.medium
+        medium.deliver = medium.on_undelivered = medium.on_mac_drop = None
+        self.protocol.sim = None
 
 
 def run_single(cfg: SimConfig, topology: Topology | None = None) -> RunResult:

@@ -81,6 +81,16 @@ class TestEnergyLedger:
         assert (led.residual, led.spent) == (residual, spent)
         assert all(led.alive(i) == bool(led.alive_bits >> i & 1) for i in range(5))
 
+    def test_charge_below_residual_precision_opens_the_gap(self):
+        # The books balance only up to the residual's rounding: a charge
+        # under half an ulp of it is booked in `spent` and moves nothing.
+        led = EnergyLedger(5, 1.0)
+        assert led.charge(0, "tx", 1e-30) == 1e-30
+        assert led.spent["tx"][0] == 1e-30
+        assert led.residual[0] == 1.0
+        assert led.total_consumed() == 0.0
+        assert led.conservation_gap() == 1.0
+
     def test_negative_charge_rejected(self):
         led = EnergyLedger(1, 2.0)
         with pytest.raises(ValueError):
