@@ -13,6 +13,13 @@ SCENARIOS = ("static", "dynamic")
 
 STREAM_NAMES = ("topology", "traffic", "mobility", "radio", "mac", "protocol")
 
+# sc's initial softmax takes exp((C - Q_n) * sc_beta). Every neighbor lies
+# within one radius of the node, so each exponent lies in
+# [-|sc_beta|, |sc_beta|], and the cheapest neighbor's is sc_beta itself.
+# Keeping |sc_beta| at or below 700, safely under ln(DBL_MAX) ~ 709.78, keeps
+# every weight finite and nonzero.
+SC_BETA_MAX = 700.0
+
 
 class ConfigError(Exception):
     pass
@@ -154,6 +161,9 @@ class SimConfig:
             raise ConfigError("ant_interval and cache_timeout must be > 0")
         if self.trip_window < 1:
             raise ConfigError("trip_window must be >= 1")
+        if abs(self.sc_beta) > SC_BETA_MAX:
+            raise ConfigError(f"sc_beta must lie in [-{SC_BETA_MAX:g}, {SC_BETA_MAX:g}], "
+                              f"got {self.sc_beta!r}")
 
     @property
     def energy_budget(self) -> float:

@@ -70,21 +70,36 @@ class Simulator:
         event.cancelled = True
 
     def run_until(self, t_end):
-        """Dispatch every event with time <= t_end (inclusive), then set the clock to t_end."""
+        """Dispatch every event with time <= t_end (inclusive), then set the clock to t_end.
+
+        The trace line of an event is `f"{time!r} {sequence} {kind}\\n"`. The
+        text of the time is reused from the event before when both times are
+        equal, nonzero and of one type, which is exactly when their reprs
+        match (0.0 and -0.0 are equal but print differently)."""
         if t_end < self._now:
             raise SchedulingError(f"cannot run to t={t_end}, clock already at {self._now}")
         heap = self._heap
-        while heap and heap[0][0] <= t_end:
-            _, _, ev = heapq.heappop(heap)
-            self._now = ev.time
-            if ev.cancelled:
-                continue
-            if self.trace is not None:
-                self.trace.update(f"{ev.time!r} {ev.sequence} {ev.kind}\n".encode())
-            self.dispatched += 1
-            handler = self._handlers.get(ev.kind)
-            if handler is not None:
-                handler(ev)
+        handler_for = self._handlers.get
+        pop = heapq.heappop
+        update = self.trace.update if self.trace is not None else None
+        dispatched = self.dispatched
+        last_time = last_text = None
+        try:
+            while heap and heap[0][0] <= t_end:
+                time, seq, ev = pop(heap)
+                self._now = time
+                if ev.cancelled:
+                    continue
+                if update is not None:
+                    if time != last_time or not time or type(time) is not type(last_time):
+                        last_time, last_text = time, repr(time)
+                    update(f"{last_text} {seq} {ev.kind}\n".encode())
+                dispatched += 1
+                handler = handler_for(ev.kind)
+                if handler is not None:
+                    handler(ev)
+        finally:
+            self.dispatched = dispatched
         self._now = t_end
 
 

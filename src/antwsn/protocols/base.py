@@ -4,11 +4,16 @@ A protocol instance owns the routing state of every node in one run and
 reacts to three stimuli: data generated at a node, a frame delivered by the
 radio, and its own timers. Concrete subclasses define table semantics and
 the ant lifecycle; data-packet plumbing lives here.
+
+The radio hands every node that heard a frame to `on_frame_received`,
+including the nodes that overheard a unicast addressed to another node.
+`on_frame_received` is the one place that drops those copies, so the frame
+handlers below it only ever see broadcasts and frames addressed to them.
 """
 
 from dataclasses import dataclass
 
-from ..radio import BACKWARD_ANT, DATA, FORWARD_ANT, Frame
+from ..radio import BACKWARD_ANT, BROADCAST, DATA, FORWARD_ANT, Frame
 from ..routing import PHEROMONE, PROBABILITY, RoutingError, RoutingTable
 from ..routing import SINK  # noqa: F401  (re-exported)
 
@@ -63,15 +68,18 @@ class Protocol:
     # -- frame dispatch ----------------------------------------------------
 
     def on_frame_received(self, node: int, frame: Frame):
+        """A frame survived at `node`. Overheard unicasts, whose rx energy
+        is already paid, stop here."""
+        dst = frame.dst
+        if dst != node and dst != BROADCAST:
+            return
         if frame.kind == DATA:
             self.on_data_frame(node, frame)
         else:
             self.on_control_frame(node, frame)
 
     def on_control_frame(self, node: int, frame: Frame):
-        """Unicast ants: overheard copies are ignored."""
-        if frame.dst != node:
-            return
+        """An ant frame for `node`: unicast forward or backward ants."""
         if frame.kind == FORWARD_ANT:
             self._on_forward_ant(node, frame)
         elif frame.kind == BACKWARD_ANT:
@@ -97,8 +105,6 @@ class Protocol:
             self.forward_data(node, packet, arrived_from=None)
 
     def on_data_frame(self, node: int, frame: Frame):
-        if frame.dst != node:
-            return  # overheard unicast; rx energy already paid
         packet = frame.payload["packet"]
         if node == self.sim.sink_node:
             self.sim.record_delivered(packet.created_at, self.sim.now)

@@ -21,6 +21,8 @@ def visibility(residual: float, budget: float) -> float:
 
 
 def selection_weights(taus, residuals, alpha: float, beta: float, budget: float) -> list:
+    """tau^alpha * visibility^beta per candidate: the specification that
+    `EEABR._pick_next` computes, float for float, in its one pass."""
     return [(t ** alpha) * (visibility(e, budget) ** beta)
             for t, e in zip(taus, residuals)]
 
@@ -69,30 +71,38 @@ class EEABR(Protocol):
             return
         self._advance(node, ant, previous=-1)
 
-    def _candidate_residual(self, node: int) -> float:
-        """Residual as visibility sees it. The node currently acting as sink
-        is scored at full headroom: visibility exists to spare depleted
-        relays, and the destination is collecting, not relaying. Its ledger
-        still drains normally."""
-        sim = self.sim
-        if node == sim.sink_node:
-            return self.cfg.energy_budget
-        return sim.residual(node)
-
     def _pick_next(self, node: int, exclude):
         """Stochastic choice over the neighbors of `node` outside `exclude`,
         weighted by trail strength and the candidate's energy visibility.
-        None, without a draw, when every neighbor is excluded."""
+        None, without a draw, when every neighbor is excluded; uniform when
+        every weight is zero.
+
+        One pass computes `selection_weights` bit for bit. The node currently
+        acting as sink is scored at the full budget: visibility exists to
+        spare depleted relays, and the destination is collecting, not
+        relaying. Its ledger still drains normally."""
         sim = self.sim
         table = self.tables[node]
-        candidates = [n for n in table.neighbors if n not in exclude]
+        cfg = self.cfg
+        alpha, beta, budget = cfg.alpha, cfg.beta, cfg.energy_budget
+        floor = VISIBILITY_FLOOR * budget
+        residual = sim.ledger.residual
+        sink = sim.sink_node
+        candidates = []
+        weights = []
+        positive = False
+        for n, tau in zip(table.neighbors, table.column):
+            if n in exclude:
+                continue
+            e = budget if n == sink else residual[n]
+            w = (tau ** alpha) * ((1.0 / max(budget - e, floor)) ** beta)
+            if w > 0:
+                positive = True
+            candidates.append(n)
+            weights.append(w)
         if not candidates:
             return None
-        taus = [table.get(n) for n in candidates]
-        residuals = [self._candidate_residual(n) for n in candidates]
-        weights = selection_weights(taus, residuals, self.cfg.alpha,
-                                    self.cfg.beta, self.cfg.energy_budget)
-        if not any(w > 0 for w in weights):
+        if not positive:
             weights = [1.0] * len(candidates)
         return candidates[weighted_pick(weights, sim.rng.protocol.uniform())]
 

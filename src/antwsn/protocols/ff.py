@@ -44,7 +44,7 @@ class FF(PathReinforceProtocol):
         # A flood protocol only ever airs its own flood kind and backward ants.
         if frame.kind != BACKWARD_ANT:
             self._on_flood_frame(node, frame)
-        elif frame.dst == node:
+        else:
             self._on_backward_ant(node, frame)
 
     # -- flood machinery (shared with the data-ant protocol) ----------------

@@ -105,7 +105,7 @@ class EnergyLedger:
         return abs(consumed - spent) / scale
 
 
-@dataclass(eq=False)   # two transmissions with equal fields are still two frames
+@dataclass(eq=False, slots=True)   # two transmissions with equal fields are still two frames
 class Frame:
     src: int
     dst: int  # BROADCAST or a node id
@@ -148,8 +148,13 @@ class Medium:
     TX_START), or in `_inflight`, and it leaves the queue only in that cycle's
     handlers. A node is on air while its `_inflight` entry has `t1 > now`.
 
-    Receiver sets are int bitsets (bit i = node i), and a frame's surviving
-    receivers are charged and handed to `deliver` in ascending node id.
+    Receiver sets are int bitsets (bit i = node i). Every live node that
+    hears a frame without a collision is charged the rx cost, and every one
+    that survives the charge, addressee or not, is handed to `deliver`, in
+    ascending node id; the protocol drops overheard unicasts.
+    The rx debit of a receiver whose residual exceeds the cost is made in
+    place, with the same float operations as `EnergyLedger.charge`; every
+    other debit goes through `charge`.
 
     Link noise comes from the medium's private radio stream in blocks of
     NOISE_BLOCK frames, one `normals` call per block; the j-th frame aired
@@ -348,30 +353,39 @@ class Medium:
     def _handle_tx_end(self, ev):
         tr = ev.payload
         self._inflight.remove(tr)
+        frame = tr.frame
+        ledger = self.ledger
         # A receiver's own charges are the only ones that can kill it, and
         # they come after its turn, so the live set can be taken up front.
-        receivers = tr.candidates & ~tr.lost & self.ledger.alive_bits
+        receivers = tr.candidates & ~tr.lost & ledger.alive_bits
         delivered = []
-        rx_cost = self.cfg.e_rx_per_bit * tr.frame.size_bits
+        rx_cost = self.cfg.e_rx_per_bit * frame.size_bits
         idle = self.cfg.e_idle_per_s
+        residual = ledger.residual
+        spent_rx = ledger.spent["rx"]
         while receivers:   # lowest bit first: ascending node id
             low = receivers & -receivers
             receivers ^= low
             node = low.bit_length() - 1
             if idle:
                 self.settle_idle(node)
-            debited = self.ledger.charge(node, "rx", rx_cost)
-            if debited < rx_cost:
+            left = residual[node]
+            if rx_cost < left:
+                # EnergyLedger.charge's own arithmetic for a debit that
+                # leaves the node alive.
+                residual[node] = left - rx_cost
+                spent_rx[node] += rx_cost
+            elif ledger.charge(node, "rx", rx_cost) < rx_cost:
                 continue  # died mid-reception
             delivered.append(node)
         # Unicast bookkeeping before the handlers run, so the network sees
         # failures in channel order.
-        frame = tr.frame
         if frame.dst != BROADCAST and frame.dst not in delivered:
-            self.on_undelivered(frame, not self.ledger.alive(frame.dst))
+            self.on_undelivered(frame, not ledger.alive(frame.dst))
+        self.frames_delivered += len(delivered)
+        deliver = self.deliver
         for node in delivered:
-            self.frames_delivered += 1
-            self.deliver(node, frame)
+            deliver(node, frame)
         # The aired frame is still its sender's queue head (only this cycle
         # dequeues); the sender moves on to its next queued frame.
         self._queues[frame.src].pop(0)

@@ -88,17 +88,20 @@ class RoutingTable:
         weights = self.column
         if exclude:
             masked = list(weights)
+            index = self.index
             for n in exclude:
-                i = self.index.get(n)
+                i = index.get(n)
                 if i is not None:
                     masked[i] = 0.0
-            if any(w > 0 for w in masked):
-                weights = masked
-            elif strict:
+            for w in masked:
+                if w > 0:
+                    return self.neighbors[weighted_pick(masked, u)]
+            if strict:
                 raise RoutingError("every candidate toward the sink is excluded")
-        if not any(w > 0 for w in weights):
-            raise RoutingError("no positive weight toward the sink")
-        return self.neighbors[weighted_pick(weights, u)]
+        for w in weights:
+            if w > 0:
+                return self.neighbors[weighted_pick(weights, u)]
+        raise RoutingError("no positive weight toward the sink")
 
     def rows(self):
         """Yield (neighbor, SINK, value) for dumping, in neighbor order."""

@@ -87,6 +87,14 @@ class TestRun:
         assert code == 1
         assert "config error" in err
 
+    def test_overflowing_sc_beta_is_a_config_error(self, capsys, tmp_path):
+        conf = tmp_path / "sc.conf"
+        conf.write_text("protocol = sc\nnodes = 9\nsc_beta = 710\n")
+        code, _, err = run_cli(capsys, "run", "--config", str(conf))
+        assert code == 1
+        assert "config error" in err and "sc_beta" in err
+        assert "Traceback" not in err
+
     def test_zero_sink_update_period_rejected(self):
         # Checked without a run: a dynamic run with this period never returns.
         with pytest.raises(ConfigError, match="sink_update_period"):

@@ -1,9 +1,13 @@
 """Configuration defaults, validation rules, and the key = value format."""
 
+import math
+import sys
+
 import pytest
 
-from antwsn.config import (ConfigError, SimConfig, config_from_mapping,
-                           load_config, parse_kv_text)
+from antwsn.config import (SC_BETA_MAX, ConfigError, SimConfig,
+                           config_from_mapping, load_config, parse_kv_text)
+from antwsn.simulation import run_single
 
 
 class TestDefaults:
@@ -76,6 +80,9 @@ class TestValidation:
         dict(ant_interval=0.0),
         dict(cache_timeout=0.0),
         dict(trip_window=0),
+        dict(sc_beta=700.5),
+        dict(sc_beta=-701.0),
+        dict(sc_beta=1e6),
     ])
     def test_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -90,11 +97,24 @@ class TestValidation:
         dict(c1=0.0, c2=1.0),
         dict(tau0=0.02),
         dict(trip_window=1),
+        dict(sc_beta=SC_BETA_MAX),
+        dict(sc_beta=-SC_BETA_MAX),
         dict(cw_init=1, max_retries=0, ff_delay_max=0.0, ant_frame_bytes=1,
              data_frame_bytes=1, max_topology_retries=1, e_tx_per_bit=0.0),
     ])
     def test_boundaries_accepted(self, ok):
         SimConfig(**ok)
+
+    def test_sc_beta_bound_keeps_the_initial_softmax_finite(self):
+        # The cheapest neighbor's exponent is sc_beta itself; at the bound
+        # every start-up column is still finite and normalized.
+        assert SC_BETA_MAX < math.log(sys.float_info.max)
+        for sc_beta in (SC_BETA_MAX, -SC_BETA_MAX):
+            result = run_single(SimConfig(protocol="sc", nodes=9, duration=1.0,
+                                          sc_beta=sc_beta))
+            assert result.generated > 0
+        with pytest.raises(ConfigError, match="sc_beta"):
+            SimConfig(protocol="sc", nodes=9, sc_beta=710.0)
 
 
 class TestKvFormat:

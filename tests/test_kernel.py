@@ -102,6 +102,90 @@ class TestSimulator:
         assert run([1.0, 2.0]) == run([1.0, 2.0])
         assert run([1.0, 2.0]) != run([2.0, 1.0])  # sequence numbers differ
 
+    def test_trace_lines_match_a_per_event_repr(self):
+        # Equal times print alike only when they are nonzero and of one
+        # type: -0.0 == 0.0 == 0 and 2 == 2.0 == np.float64(2.0), yet each
+        # pair's reprs differ.
+        assert_trace_matches_reference(
+            [-0.0, 0.0, 0.0, 0, 0.0, 1.5, 1.5, 1.5, 2, 2.0, np.float64(2.0), 2.0, 3.0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(times=st.lists(st.sampled_from(
+               [-0.0, 0.0, 0, 0.5, 0.5, 1, 1.0, np.float64(1.0), 2.5]), max_size=25),
+           cancel=st.sets(st.integers(0, 24)),
+           cuts=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), max_size=3))
+    def test_trace_lines_match_a_per_event_repr_in_slices(self, times, cancel, cuts):
+        assert_trace_matches_reference(times, cancel, sorted(cuts) + [3.0])
+
+    def test_dispatched_is_right_after_each_slice(self):
+        sim = Simulator()
+        sim.on("x", lambda ev: None)
+        times = [0.05 * k for k in range(100)]
+        events = [sim.schedule(t, "x") for t in times]
+        for ev in events[::7]:
+            sim.cancel(ev)
+        live = [ev.time for k, ev in enumerate(events) if k % 7]
+        for k in range(1, 7):
+            bound = min(k * 1.0, 5.5)
+            sim.run_until(bound)
+            assert sim.dispatched == sum(t <= bound for t in live)
+
+    def test_dispatched_counts_the_event_whose_handler_raised(self):
+        sim = Simulator()
+        seen = []
+
+        def handler(ev):
+            seen.append(ev.payload)
+            if ev.payload == 3:
+                raise RuntimeError("handler failed")
+        sim.on("x", handler)
+        for k in range(1, 6):
+            sim.schedule(float(k), "x", k)
+        with pytest.raises(RuntimeError, match="handler failed"):
+            sim.run_until(10.0)
+        assert seen == [1, 2, 3]
+        assert sim.dispatched == 3
+        assert sim.now() == 3.0
+        sim.run_until(10.0)
+        assert seen == [1, 2, 3, 4, 5]
+        assert sim.dispatched == 5
+
+
+class _Lines:
+    """Trace sink that keeps every line it is given."""
+
+    def __init__(self):
+        self.lines = []
+
+    def update(self, data):
+        self.lines.append(data)
+
+
+def assert_trace_matches_reference(times, cancel=(), bounds=(10.0,)):
+    """Run `times` (events of kinds a and b, alternating, plus one follow-up
+    event at the same time from each b handler) through `run_until` at each
+    of `bounds`, and check the trace against a line built from each
+    dispatched event's own fields."""
+    sim = Simulator()
+    sim.trace = _Lines()
+    dispatched = []
+
+    def follow_up(ev):
+        dispatched.append(ev)
+        sim.schedule(ev.time, "c")
+    sim.on("a", dispatched.append)
+    sim.on("b", follow_up)
+    sim.on("c", dispatched.append)
+    events = [sim.schedule(t, "ab"[k % 2]) for k, t in enumerate(times)]
+    for k in cancel:
+        if k < len(events):
+            sim.cancel(events[k])
+    for bound in bounds:
+        sim.run_until(bound)
+    reference = [f"{ev.time!r} {ev.sequence} {ev.kind}\n".encode() for ev in dispatched]
+    assert sim.trace.lines == reference
+    assert sim.dispatched == len(dispatched)
+
 
 class TestRandomStream:
     def test_reproducible(self):

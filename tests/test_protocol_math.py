@@ -2,10 +2,16 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from antwsn.config import SimConfig
+from antwsn.kernel import weighted_pick
+from antwsn.protocols import eeabr
 from antwsn.protocols import (reinforce, reinforcement_factor,
                               initial_distribution, should_broadcast,
                               visibility, selection_weights, trail_deposit,
@@ -14,6 +20,8 @@ from antwsn.protocols import (reinforce, reinforcement_factor,
                               AntQuota)
 from antwsn.protocols.eeabr import VISIBILITY_FLOOR
 from antwsn.routing import RoutingError, RoutingTable
+from antwsn.scenario import from_points
+from antwsn.simulation import Simulation
 
 
 class TestReinforce:
@@ -146,6 +154,85 @@ class TestSelectionWeights:
     def test_zero_trail_zero_weight(self):
         w = selection_weights([0.0, 1.0], [15.0, 15.0], 1.0, 1.0, 30.0)
         assert w[0] == 0.0 and w[1] > 0
+
+
+# Node 0 at the centre of a hexagon of six neighbors, ids 1..6.
+HEX = [(0.0, 0.0)] + [(20 * math.cos(k * math.pi / 3), 20 * math.sin(k * math.pi / 3))
+                      for k in range(6)]
+# Residuals as fractions of the budget; near 1 the visibility floor holds.
+SHARES = (st.floats(0.0, 1.0)
+          | st.floats(1 - VISIBILITY_FLOOR, 1.0)
+          | st.sampled_from([0.0, 1 - VISIBILITY_FLOOR, 1.0]))
+TAUS = st.sampled_from([0.0, 0.0, 1e-3, 1.0]) | st.floats(0.0, 5.0)
+
+
+class _Draws:
+    """Stand-in for the protocol stream: hands out `u` and counts draws."""
+
+    def __init__(self, u):
+        self.u = u
+        self.calls = 0
+
+    def uniform(self):
+        self.calls += 1
+        return self.u
+
+
+class TestPickNext:
+    """`EEABR._pick_next` scores the candidates in one pass; it must hand
+    `weighted_pick` exactly the weights `selection_weights` gives (the sink
+    scored at the full budget, uniform when every weight is zero) and pick
+    the same neighbor."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(taus=st.lists(TAUS, min_size=6, max_size=6),
+           shares=st.lists(SHARES, min_size=6, max_size=6),
+           budget=st.sampled_from([30.0, 7.5]),
+           exclude=st.lists(st.integers(0, 8), max_size=4) | st.just([1, 2, 3, 4, 5, 6]),
+           sink=st.integers(0, 6),
+           alpha=st.sampled_from([1.0, 2.0, 0.5]),
+           beta=st.sampled_from([1.0, 2.0, 0.0]),
+           u=st.floats(0.0, 1.0, exclude_max=True))
+    @example(taus=[0.0] * 6, shares=[1.0] * 6, budget=30.0, exclude=[2], sink=3,
+             alpha=1.0, beta=1.0, u=0.7)
+    @example(taus=[1.0] * 6, shares=[0.5] * 6, budget=30.0, exclude=[1, 2, 3, 4, 5, 6],
+             sink=1, alpha=1.0, beta=1.0, u=0.3)
+    def test_matches_selection_weights(self, taus, shares, budget, exclude, sink,
+                                       alpha, beta, u):
+        cfg = SimConfig(protocol="eeabr", nodes=len(HEX), duration=1.0,
+                        traffic_rate=1e-9, ant_interval=1e8,
+                        initial_energy=budget, alpha=alpha, beta=beta)
+        sim = Simulation(cfg, from_points(HEX))
+        sim.sink_node = sink
+        sim.rng.protocol = draws = _Draws(u)
+        table = sim.protocol.tables[0]
+        assert table.neighbors == [1, 2, 3, 4, 5, 6]
+        table.set_column(taus)
+        for n, share in zip(table.neighbors, shares):
+            sim.ledger.residual[n] = share * budget
+
+        picks = []
+
+        def recording(weights, u):
+            picks.append(list(weights))
+            return weighted_pick(weights, u)
+        with mock.patch.object(eeabr, "weighted_pick", recording):
+            got = sim.protocol._pick_next(0, exclude)
+
+        candidates = [n for n in table.neighbors if n not in exclude]
+        if not candidates:
+            assert got is None
+            assert draws.calls == 0 and picks == []
+            return
+        weights = selection_weights(
+            [table.get(n) for n in candidates],
+            [budget if n == sink else sim.residual(n) for n in candidates],
+            alpha, beta, budget)
+        if not any(w > 0 for w in weights):
+            weights = [1.0] * len(candidates)
+        assert picks == [weights]     # bit for bit
+        assert draws.calls == 1
+        assert got == candidates[weighted_pick(weights, u)]
 
 
 class TestTrailDeposit:

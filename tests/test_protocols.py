@@ -6,7 +6,9 @@ from conftest import build_sim
 
 from antwsn import kernel
 from antwsn.config import PROTOCOL_NAMES, SimConfig
+from antwsn.protocols import eeabr
 from antwsn.protocols.base import DataPacket
+from antwsn.protocols.eeabr import selection_weights
 from antwsn.radio import (BACKWARD_ANT, BROADCAST, DATA, DATA_ANT,
                           FORWARD_ANT, Frame)
 from antwsn.routing import Ant, RoutingError
@@ -168,12 +170,21 @@ class TestPheromoneSelection:
         assert sim.counters["fwd_ants_dead_end"] == 1
         assert sent == []
 
-    def test_bound_sink_is_scored_at_full_headroom(self):
+    def test_bound_sink_is_scored_at_full_headroom(self, monkeypatch):
         sim = build_sim("eeabr", STAR4, sink=3)
         sim.ledger.residual[3] = 0.5
         assert sim.residual(3) == 0.5
-        assert sim.protocol._candidate_residual(3) == sim.cfg.energy_budget
-        assert sim.protocol._candidate_residual(2) == sim.residual(2)
+        picked = []
+
+        def first(weights, u):
+            picked.append(list(weights))
+            return 0
+        monkeypatch.setattr(eeabr, "weighted_pick", first)
+        assert sim.protocol._pick_next(0, (1,)) == 2
+        cfg, table = sim.cfg, sim.protocol.tables[0]
+        assert picked == [selection_weights(
+            [table.get(2), table.get(3)], [sim.residual(2), cfg.energy_budget],
+            cfg.alpha, cfg.beta, cfg.energy_budget)]
 
     def test_loop_is_killed_on_second_visit(self):
         sim = build_sim("eeabr", LINE3, sink=2)
@@ -286,9 +297,29 @@ class TestDataPipeline:
         packet = DataPacket(uid=1, origin=0, created_at=0.0, ttl=5)
         frame = Frame(src=0, dst=2, kind=DATA, size_bits=400,
                       payload={"packet": packet})
-        sim.protocol.on_data_frame(1, frame)
+        sim.protocol.on_frame_received(1, frame)
         assert sim.metrics.delivered == 0
         assert packet.ttl == 5  # untouched: the frame was not for this node
+
+    def test_overheard_backward_ant_is_ignored_by_a_flood_protocol(self):
+        sim = build_sim("ff", LINE3, sink=2)
+        sent = log_sends(sim)
+        proto = sim.protocol
+        ant = Ant(uid=sim.new_ant_uid())
+        for node, t in ((0, 0.0), (1, 0.1), (2, 0.2)):
+            ant.visit(node, t)
+        # node 1's last retrace hop to the source, overheard by the sink
+        frame = Frame(src=1, dst=0, kind=BACKWARD_ANT, size_bits=160,
+                      payload={"ant": ant, "pos": 0})
+        column = list(proto.tables[2].column)
+        proto.on_frame_received(2, frame)
+        assert proto.tables[2].column == column
+        assert 2 not in proto._reinforced
+        assert sim.counters["bwd_ants_completed"] == 0
+        assert sent == []
+        # the addressee acts on the same frame
+        proto.on_frame_received(0, frame)
+        assert sim.counters["bwd_ants_completed"] == 1
 
     def test_end_to_end_unicast_delivery(self):
         sim = build_sim("babr", LINE3, sink=2)

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from unittest import mock
+
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from antwsn import routing
+from antwsn.kernel import weighted_pick
 from antwsn.routing import (Ant, AntCache, PHEROMONE, PROBABILITY,
                             RoutingError, RoutingTable, TripModel)
 
@@ -88,6 +92,34 @@ class TestRoutingTable:
         t.set_column([0.0, 0.0])
         with pytest.raises(RoutingError):
             t.sample(0.5)
+
+    @given(column=st.lists(st.sampled_from([0.0, 0.0, 1e-300, 0.25, 1.0, 3.0])
+                           | st.floats(0.0, 10.0), min_size=1, max_size=8),
+           exclude=st.lists(st.integers(0, 9), max_size=10),
+           exclude_all=st.booleans(),
+           u=st.floats(0.0, 1.0, exclude_max=True),
+           strict=st.booleans())
+    @example(column=[0.0, 0.0], exclude=[], exclude_all=False, u=0.5, strict=False)
+    @example(column=[1.0, 2.0], exclude=[], exclude_all=True, u=0.5, strict=True)
+    @example(column=[1.0, 2.0], exclude=[], exclude_all=True, u=0.5, strict=False)
+    @example(column=[0.0, 2.0], exclude=[1], exclude_all=False, u=0.9, strict=False)
+    def test_sample_matches_the_reference(self, column, exclude, exclude_all, u, strict):
+        # Neighbors are the even ids, so odd exclusions are not neighbors.
+        t = RoutingTable([2 * i for i in range(len(column))], mode=PHEROMONE)
+        t.set_column(column)
+        if exclude_all:
+            exclude = exclude + t.neighbors
+        picks = []
+
+        def recording(weights, u):
+            picks.append(list(weights))
+            return weighted_pick(weights, u)
+        with mock.patch.object(routing, "weighted_pick", recording):
+            got = _outcome(t.sample, u, exclude, strict)
+        want_picks = []
+        want = _outcome(reference_sample, t, u, exclude, strict, want_picks)
+        assert got == want
+        assert picks == want_picks
 
     def test_rows_dump(self):
         t = RoutingTable([1, 2])
@@ -174,6 +206,34 @@ class TestAntCache:
             else:
                 assert getattr(cache, op)(uid, now) == getattr(ref, op)(uid, now)
             assert len(cache) == len(ref.records)
+
+
+def reference_sample(table, u, exclude=(), strict=False, picks=None):
+    """`RoutingTable.sample` as it was written with `any` scans; `picks`
+    collects the weight lists handed to `weighted_pick`."""
+    weights = table.column
+    if exclude:
+        masked = list(weights)
+        for n in exclude:
+            i = table.index.get(n)
+            if i is not None:
+                masked[i] = 0.0
+        if any(w > 0 for w in masked):
+            weights = masked
+        elif strict:
+            raise RoutingError("every candidate toward the sink is excluded")
+    if not any(w > 0 for w in weights):
+        raise RoutingError("no positive weight toward the sink")
+    if picks is not None:
+        picks.append(list(weights))
+    return table.neighbors[weighted_pick(weights, u)]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except RoutingError as err:
+        return f"RoutingError: {err}"
 
 
 class ScanCache:
