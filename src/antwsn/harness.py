@@ -11,7 +11,6 @@ import hashlib
 import io
 import json
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -207,6 +206,8 @@ def run_experiment(plan: ExperimentPlan, parallel: int = 0) -> ResultTable:
     cells = plan.cells()
     configs = [plan.cell_config(*cell) for cell in cells]
     if parallel and parallel > 1:
+        # Imported here: the pool's import costs every `import antwsn` ~20 ms.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             results = dict(zip(cells, pool.map(run_single, configs)))
     else:

@@ -7,13 +7,18 @@ the ant lifecycle; data-packet plumbing lives here.
 
 The radio hands every node that heard a frame to `on_frame_received`,
 including the nodes that overheard a unicast addressed to another node.
-`on_frame_received` is the one place that drops those copies, so the frame
-handlers below it only ever see broadcasts and frames addressed to them.
+`on_frame_received` dispatches by destination: a broadcast goes to
+`_on_flood_frame`, a unicast addressed to the node goes by kind to
+`on_data_frame`, `_on_forward_ant` or `_on_backward_ant`, and an overheard
+unicast stops there. It is the one place that drops those copies, so the
+frame handlers below it only ever see broadcasts and frames addressed to
+them. Only the flood protocols air broadcasts, so only they define
+`_on_flood_frame`; here it raises.
 """
 
 from dataclasses import dataclass
 
-from ..radio import BACKWARD_ANT, BROADCAST, DATA, FORWARD_ANT, Frame
+from ..radio import BROADCAST, DATA, FORWARD_ANT, Frame
 from ..routing import PHEROMONE, PROBABILITY, RoutingError, RoutingTable
 from ..routing import SINK  # noqa: F401  (re-exported)
 
@@ -71,19 +76,20 @@ class Protocol:
         """A frame survived at `node`. Overheard unicasts, whose rx energy
         is already paid, stop here."""
         dst = frame.dst
-        if dst != node and dst != BROADCAST:
-            return
-        if frame.kind == DATA:
-            self.on_data_frame(node, frame)
-        else:
-            self.on_control_frame(node, frame)
+        if dst == BROADCAST:
+            self._on_flood_frame(node, frame)
+        elif dst == node:
+            kind = frame.kind
+            if kind == DATA:
+                self.on_data_frame(node, frame)
+            elif kind == FORWARD_ANT:
+                self._on_forward_ant(node, frame)
+            else:
+                self._on_backward_ant(node, frame)
 
-    def on_control_frame(self, node: int, frame: Frame):
-        """An ant frame for `node`: unicast forward or backward ants."""
-        if frame.kind == FORWARD_ANT:
-            self._on_forward_ant(node, frame)
-        elif frame.kind == BACKWARD_ANT:
-            self._on_backward_ant(node, frame)
+    def _on_flood_frame(self, node: int, frame: Frame):
+        raise NotImplementedError(f"{self.name} airs no broadcast frames, "
+                                  f"but node {node} received a {frame.kind!r} broadcast")
 
     # -- data pipeline -------------------------------------------------------
 

@@ -4,7 +4,7 @@ suppress the flood; backward ants retrace each arriving copy exactly as in
 the basic protocol.
 """
 
-from ..radio import BACKWARD_ANT, BROADCAST, FORWARD_ANT
+from ..radio import BROADCAST, FORWARD_ANT
 from ..routing import Ant
 from .babr import PathReinforceProtocol
 
@@ -39,13 +39,6 @@ class FF(PathReinforceProtocol):
         self._first_sight(node, ant.uid)
         sim.count("fwd_ants_launched")
         sim.send_frame(node, BROADCAST, FORWARD_ANT, self.cfg.ant_bits, {"ant": ant})
-
-    def on_control_frame(self, node: int, frame):
-        # A flood protocol only ever airs its own flood kind and backward ants.
-        if frame.kind != BACKWARD_ANT:
-            self._on_flood_frame(node, frame)
-        else:
-            self._on_backward_ant(node, frame)
 
     # -- flood machinery (shared with the data-ant protocol) ----------------
 

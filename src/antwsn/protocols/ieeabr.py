@@ -37,7 +37,11 @@ def redistribute_column(values, dead_index: int):
     held everything (no surviving alternative).
     """
     dead_mass = values[dead_index]
-    rest = sum(values) - dead_mass
+    # Left to right, not `sum`, which compensates rounding from Python 3.12 on.
+    rest = 0
+    for v in values:
+        rest += v
+    rest -= dead_mass
     if rest <= 0:
         return None
     z = dead_mass / rest

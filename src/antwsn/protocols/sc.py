@@ -20,7 +20,10 @@ def initial_distribution(q_costs, local_costs, sc_beta: float) -> list:
         raise ValueError("need one (cost, estimate) pair per neighbor")
     best = min(c + q for c, q in zip(local_costs, q_costs))
     weights = [math.exp((best - q) * sc_beta) for q in q_costs]
-    total = sum(weights)
+    # Left to right, not `sum`, which compensates rounding from Python 3.12 on.
+    total = 0
+    for w in weights:
+        total += w
     return [w / total for w in weights]
 
 

@@ -8,6 +8,7 @@ threshold; two audible frames that overlap in time at one receiver destroy
 each other there.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,10 @@ BROADCAST = -1
 # is one row of the block, so the block size changes no draw, only how many
 # calls fetch them; 32 rows keep a 100-node block near 50 kB.
 NOISE_BLOCK = 32
+
+# Byte i with its bit order reversed: maps `np.packbits`'s default big-endian
+# bytes to the little-endian ones, which put element k at bit k of the int.
+_REVERSED_BITS = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 
 # Frame payload kinds.
 FORWARD_ANT = "forward-ant"
@@ -118,6 +123,14 @@ class Frame:
             raise ValueError("frame size must be > 0 bits")
 
 
+def _bits(flags) -> int:
+    """A 1-D bool array as an int bitset: bit i set where flags[i] is True.
+    `np.packbits` in its default bit order, then each byte reversed, is what
+    `bitorder="little"` gives, without that keyword's per-call cost."""
+    return int.from_bytes(np.packbits(flags).tobytes().translate(_REVERSED_BITS),
+                          "little")
+
+
 class _Transmission:
     """One frame on the channel. `candidates` and `lost` are node sets kept as
     int bitsets, bit i standing for node i: `candidates` holds the nodes that
@@ -141,17 +154,25 @@ class Medium:
     resolution, and delivery of surviving frames to the network layer.
     Radio, MAC and energy settings are read from `cfg`, already validated.
 
-    MAC state is each node's frame queue plus the list of frames on the
-    channel. A node is in a MAC cycle exactly when its queue is non-empty:
-    the head frame is then backing off (one pending MAC_RETRY, whose payload
-    carries the head's busy-sense count), about to start (one pending
-    TX_START), or in `_inflight`, and it leaves the queue only in that cycle's
-    handlers. A node is on air while its `_inflight` entry has `t1 > now`.
+    MAC state is each node's frame queue plus the frames on the channel. A
+    node is in a MAC cycle exactly when its queue is non-empty: the head
+    frame is then backing off (one pending MAC_RETRY, whose payload carries
+    the head's busy-sense count), about to start (one pending TX_START), or
+    on the channel, and it leaves the queue only in that cycle's handlers.
 
-    Receiver sets are int bitsets (bit i = node i). Every live node that
-    hears a frame without a collision is charged the rx cost, and every one
-    that survives the charge, addressee or not, is handed to `deliver`, in
-    ascending node id; the protocol drops overheard unicasts.
+    Node sets are int bitsets (bit i = node i). The channel state is
+    `_inflight`, a dict from sender to its frame's `_Transmission` (a node
+    airs only its queue head, so it has at most one frame on the channel),
+    and `_air_bits`, the set of those senders: TX_START adds the sender and
+    its TX_END removes it. `_in_range_bits[node]` is the set of nodes within
+    `tx_radius` of `node`, its carrier-sense disk. A node senses the channel
+    busy when a sender in its disk has a frame with `t1 > now`, so a frame
+    whose TX_END is due at `now` but not yet dispatched reads idle.
+
+    Every live node that hears a frame without a collision is charged the
+    rx cost, and every one that survives the charge, addressee or not, is
+    handed to `deliver`, in ascending node id; the protocol drops overheard
+    unicasts.
     The rx debit of a receiver whose residual exceeds the cost is made in
     place, with the same float operations as `EnergyLedger.charge`; every
     other debit goes through `charge`.
@@ -184,14 +205,16 @@ class Medium:
         self.n = len(pos)
         diff = pos[:, None, :] - pos[None, :, :]
         dist = np.sqrt((diff**2).sum(axis=2))
-        self.ideal = cfg.p_transmit / (1.0 + dist**cfg.gamma)
+        # Row src: the ideal power of src's frames at every node.
+        self._ideal_rows = list(cfg.p_transmit / (1.0 + dist**cfg.gamma))
         # Geometric disk used for carrier sensing (deterministic by design).
         in_range = dist <= cfg.tx_radius
         np.fill_diagonal(in_range, False)
-        self._in_range_rows = in_range.tolist()
+        self._in_range_bits = [_bits(column) for column in in_range.T]
 
-        self._queues = [[] for _ in range(self.n)]
-        self._inflight = []
+        self._queues = [deque() for _ in range(self.n)]
+        self._inflight = {}
+        self._air_bits = 0
         self._last_idle = [0.0] * self.n
         # Per-frame noise rows, drawn when the first frame airs.
         self._gain = self._offset = None
@@ -229,7 +252,7 @@ class Medium:
 
     def send(self, frame: Frame):
         """Queue a frame at its source; the MAC airs queued frames in order."""
-        if not self.ledger.alive(frame.src):
+        if not self.ledger.alive_bits >> frame.src & 1:
             self.on_mac_drop(frame, "dead")
             return
         queue = self._queues[frame.src]
@@ -246,17 +269,22 @@ class Medium:
     def _channel_busy(self, node) -> bool:
         # The sensing node's own frame is never on air here: a node senses
         # from an empty queue (send) or from its own cycle, never mid-frame.
+        senders = self._in_range_bits[node] & self._air_bits
+        if not senders:
+            return False
         now = self.sim.now()
-        rows = self._in_range_rows
-        for tr in self._inflight:
-            if tr.t1 > now and rows[tr.frame.src][node]:
+        inflight = self._inflight
+        while senders:
+            low = senders & -senders
+            senders ^= low
+            if inflight[low.bit_length() - 1].t1 > now:
                 return True
         return False
 
     def _attempt(self, node, attempts=0):
         """Sense the channel for the head of `node`'s queue; `attempts` counts
         the busy senses this head frame has already had."""
-        if not self.ledger.alive(node):
+        if not self.ledger.alive_bits >> node & 1:
             self._flush_dead(node)
             return
         queue = self._queues[node]
@@ -269,7 +297,7 @@ class Medium:
                 # Report before dequeuing: a frame the callback sends from
                 # this node queues behind the dropped one and starts no cycle.
                 self.on_mac_drop(frame, "busy")
-                queue.pop(0)
+                queue.popleft()
                 self._attempt(node)
                 return
             window = self.cfg.cw_init * (2 ** (attempts - 1))
@@ -294,7 +322,7 @@ class Medium:
         debited = self.ledger.charge(node, "tx", cost)
         if debited < cost:
             # Ran out of juice mid-charge: node is now dead, frame never airs.
-            queue.pop(0)
+            queue.popleft()
             self.on_mac_drop(frame, "energy")
             self._flush_dead(node)
             return
@@ -303,23 +331,24 @@ class Medium:
         # was scheduled before this TX_START, so it ran first and left _inflight.
         tr = _Transmission(frame, t1, self._audible(node))
         self._mark_collisions(tr)
-        self._inflight.append(tr)
+        self._inflight[node] = tr
+        self._air_bits |= 1 << node
         self.frames_sent += 1
         self.sim.schedule(t1, kernel.TX_END, tr)
 
     def _draw_noise(self):
         """Draw the next NOISE_BLOCK frames' noise with one call. Row j of
-        `_gain` is 1 + alpha and row j of `_offset` is beta for the j-th frame;
-        a sigma of zero draws nothing and leaves gain 1 or offset 0. The
-        stream yields the unit draws in the order successive per-frame
-        `normals(sigma, n)` calls would, alpha before beta, and sigma * z is
-        the same float either way."""
+        `_gain` is 1 + alpha and row j of `_offset` is beta for the j-th frame,
+        both kept as lists of row views; a sigma of zero draws nothing and
+        leaves gain 1 or offset 0. The stream yields the unit draws in the
+        order successive per-frame `normals(sigma, n)` calls would, alpha
+        before beta, and sigma * z is the same float either way."""
         cfg = self.cfg
         alpha, beta = cfg.sigma_alpha > 0.0, cfg.sigma_beta > 0.0
         z = self.rng_radio.normals(1.0, (NOISE_BLOCK, alpha + beta, self.n))
         shape = (NOISE_BLOCK, self.n)
-        self._gain = 1.0 + cfg.sigma_alpha * z[:, 0] if alpha else np.ones(shape)
-        self._offset = cfg.sigma_beta * z[:, -1] if beta else np.zeros(shape)
+        self._gain = list(1.0 + cfg.sigma_alpha * z[:, 0] if alpha else np.ones(shape))
+        self._offset = list(cfg.sigma_beta * z[:, -1] if beta else np.zeros(shape))
         self._noise_row = 0
 
     def _audible(self, src) -> int:
@@ -330,30 +359,39 @@ class Medium:
             self._draw_noise()
         j = self._noise_row
         self._noise_row = j + 1
-        power = self.ideal[src] * self._gain[j] + self._offset[j]
-        cand = power >= self.rx_threshold
-        bits = int.from_bytes(np.packbits(cand, bitorder="little").tobytes(), "little")
-        off = 1 << src
-        for tr in self._inflight:
-            off |= 1 << tr.frame.src
-        return bits & self.ledger.alive_bits & ~off
+        # ideal * gain + offset: the same two IEEE operations, the second in place.
+        power = self._ideal_rows[src] * self._gain[j]
+        power += self._offset[j]
+        return (_bits(power >= self.rx_threshold) & self.ledger.alive_bits
+                & ~(self._air_bits | 1 << src))
 
     def _mark_collisions(self, new: _Transmission):
+        # A frame on air that shares no candidate with the new one and whose
+        # candidates miss the new sender is untouched. The loop only ORs sets
+        # and sums counts, so the dict's order changes nothing.
         cand = new.candidates
         src_bit = 1 << new.frame.src
-        for tr in self._inflight:
-            both = cand & tr.candidates
+        probe = cand | src_bit
+        collisions = 0
+        for tr in self._inflight.values():
+            other = tr.candidates
+            if not other & probe:
+                continue
+            both = cand & other
             if both:
-                self.collisions += both.bit_count()
+                collisions += both.bit_count()
                 tr.lost |= both
                 new.lost |= both
             # The new sender cannot keep listening to an ongoing frame.
-            tr.lost |= tr.candidates & src_bit
+            tr.lost |= other & src_bit
+        self.collisions += collisions
 
     def _handle_tx_end(self, ev):
         tr = ev.payload
-        self._inflight.remove(tr)
         frame = tr.frame
+        src = frame.src
+        del self._inflight[src]
+        self._air_bits ^= 1 << src
         ledger = self.ledger
         # A receiver's own charges are the only ones that can kill it, and
         # they come after its turn, so the live set can be taken up front.
@@ -388,5 +426,5 @@ class Medium:
             deliver(node, frame)
         # The aired frame is still its sender's queue head (only this cycle
         # dequeues); the sender moves on to its next queued frame.
-        self._queues[frame.src].pop(0)
-        self._attempt(frame.src)
+        self._queues[src].popleft()
+        self._attempt(src)

@@ -2,6 +2,8 @@
 
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from unittest import mock
 
 import numpy as np
@@ -354,6 +356,61 @@ class TestRedistributeColumn:
             if out is not None:
                 assert sum(out) == Fraction(1)
                 assert out[dead] == 0
+
+
+def left_to_right(values):
+    """Plain left-to-right addition from int 0: what `sum` computed before
+    Python 3.12 made it compensate float rounding."""
+    return reduce(add, values, 0)
+
+
+class TestLeftToRightSums:
+    """sc's start-up softmax and ieeabr's redistribution add left to right on
+    every Python, so a run computes the same bits on 3.10 as on 3.12+. Each
+    fixed case is one where compensated and naive summation differ."""
+
+    @staticmethod
+    def expected_distribution(q_costs, sc_beta):
+        best = min(1.0 + q for q in q_costs)
+        weights = [math.exp((best - q) * sc_beta) for q in q_costs]
+        total = left_to_right(weights)
+        return [w / total for w in weights]
+
+    @example(q_costs=[1.21, 1.82, 0.94], sc_beta=1.0)
+    @given(q_costs=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=12),
+           sc_beta=st.floats(-20.0, 20.0))
+    def test_initial_distribution_adds_left_to_right(self, q_costs, sc_beta):
+        p = initial_distribution(q_costs, [1.0] * len(q_costs), sc_beta)
+        assert p == self.expected_distribution(q_costs, sc_beta)
+
+    def test_initial_distribution_case_where_compensation_differs(self):
+        q_costs = [1.21, 1.82, 0.94]
+        best = min(1.0 + q for q in q_costs)
+        weights = [math.exp(best - q) for q in q_costs]
+        assert left_to_right(weights) != math.fsum(weights)
+        p = initial_distribution(q_costs, [1.0] * 3, 1.0)
+        assert p == self.expected_distribution(q_costs, 1.0)
+        assert p != [w / math.fsum(weights) for w in weights]
+
+    @example(values=[0.3, 0.3, 0.5, 0.3], dead_index=2)
+    @given(values=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+           dead_index=st.integers(0, 11))
+    def test_redistribute_column_adds_left_to_right(self, values, dead_index):
+        dead_index %= len(values)
+        dead_mass = values[dead_index]
+        rest = left_to_right(values) - dead_mass
+        expected = None if rest <= 0 else [
+            0 * v if i == dead_index else v * (1 + dead_mass / rest)
+            for i, v in enumerate(values)]
+        assert redistribute_column(values, dead_index) == expected
+
+    def test_redistribute_column_case_where_compensation_differs(self):
+        values = [0.3, 0.3, 0.5, 0.3]
+        assert left_to_right(values) != math.fsum(values)
+        out = redistribute_column(values, 2)
+        for total, want in ((left_to_right(values), True), (math.fsum(values), False)):
+            z = 0.5 / (total - 0.5)
+            assert (out == [0.3 * (1 + z), 0.3 * (1 + z), 0.0, 0.3 * (1 + z)]) is want
 
 
 class TestAntQuota:

@@ -321,6 +321,18 @@ class TestDataPipeline:
         proto.on_frame_received(0, frame)
         assert sim.counters["bwd_ants_completed"] == 1
 
+    @pytest.mark.parametrize("protocol", ["babr", "sc", "eeabr", "ieeabr"])
+    def test_broadcast_to_a_unicast_protocol_raises(self, protocol):
+        # Only ff and fp air broadcasts; any other protocol receiving one is
+        # a bug, reported as such rather than dropped.
+        sim = build_sim(protocol, LINE3, sink=2)
+        ant = Ant(uid=sim.new_ant_uid())
+        ant.visit(0, 0.0)
+        frame = Frame(src=0, dst=BROADCAST, kind=FORWARD_ANT, size_bits=160,
+                      payload={"ant": ant})
+        with pytest.raises(NotImplementedError, match=protocol):
+            sim.protocol.on_frame_received(1, frame)
+
     def test_end_to_end_unicast_delivery(self):
         sim = build_sim("babr", LINE3, sink=2)
         sim.protocol.start()

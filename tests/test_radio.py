@@ -1,14 +1,20 @@
 """Propagation math, the energy ledger, and MAC behavior on tiny hand-built
 networks with the disturbance turned off (deterministic radio)."""
 
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antwsn.config import SimConfig
-from antwsn.kernel import MAC_RETRY, RandomStream, Simulator
-from antwsn.radio import (BROADCAST, EnergyLedger, Frame, Medium,
+from antwsn.config import PROTOCOL_NAMES, SimConfig
+from antwsn.kernel import MAC_RETRY, TX_END, TX_START, RandomStream, Simulator
+from antwsn.radio import (BROADCAST, NOISE_BLOCK, EnergyLedger, Frame, Medium,
                           ideal_reception, perturbed_reception)
+from antwsn.scenario import from_points
+from antwsn.simulation import Simulation
+from test_radio_oracle import VARIANTS, connected_points
 
 
 class TestPropagation:
@@ -298,3 +304,64 @@ class TestMedium:
         medium.settle_all_idle()
         assert ledger.spent["idle"][0] == pytest.approx(1.0)
         assert ledger.spent["idle"][1] == pytest.approx(1.0)
+
+
+class TestChannelState:
+    """The medium's channel bitsets against their definitions."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(points=connected_points(), protocol=st.sampled_from(PROTOCOL_NAMES),
+           seed=st.integers(1, 10_000), variant=st.sampled_from(sorted(VARIANTS)))
+    def test_bitsets_match_the_frames_on_air(self, points, protocol, seed, variant):
+        # After every medium handler: `_inflight` is keyed by each frame's
+        # sender, `_air_bits` is the set of those senders, and a node senses
+        # the channel busy exactly when another node within tx_radius has a
+        # frame on the channel with t1 > now.
+        cfg = SimConfig(protocol=protocol, nodes=len(points), seed=seed,
+                        duration=3.0, ant_interval=0.5, **VARIANTS[variant])
+        sim = Simulation(cfg, from_points(points, tx_radius=cfg.tx_radius))
+        medium = sim.medium
+        pos = np.asarray(sim.topology.positions, dtype=float)
+        dist = np.sqrt(((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2))
+        near = (dist <= cfg.tx_radius).tolist()
+        checked = Counter()
+
+        def checking(kind, handler):
+            def check(ev):
+                handler(ev)
+                now = sim.kernel.now()
+                inflight = medium._inflight
+                assert all(src == tr.frame.src for src, tr in inflight.items())
+                air = 0
+                for src in inflight:
+                    air |= 1 << src
+                assert medium._air_bits == air
+                for node in range(len(points)):
+                    busy = any(tr.t1 > now and src != node and near[src][node]
+                               for src, tr in inflight.items())
+                    assert medium._channel_busy(node) == busy, (node, now)
+                checked[kind] += 1
+            sim.kernel.on(kind, check)
+
+        checking(TX_START, medium._handle_tx_start)
+        checking(TX_END, medium._handle_tx_end)
+        checking(MAC_RETRY, medium._handle_retry)
+        sim.run()
+        assert checked[TX_START] > 0
+
+    @pytest.mark.parametrize("n", [9, 49, 100])
+    def test_audible_packs_like_little_bit_order(self, n):
+        # Each n leaves the last byte partial: 9 and 49 use one bit of it, 100 four.
+        sim = Simulation(SimConfig(nodes=n, seed=3, sigma_alpha=0.5))
+        medium = sim.medium
+        heard = 0
+        for k in range(2 * NOISE_BLOCK + 1):   # crosses a noise block
+            src = k % n
+            bits = medium._audible(src)
+            j = medium._noise_row - 1
+            power = medium._ideal_rows[src] * medium._gain[j] + medium._offset[j]
+            packed = np.packbits(power >= medium.rx_threshold, bitorder="little")
+            want = int.from_bytes(packed.tobytes(), "little")
+            assert bits == want & ~(1 << src)
+            heard |= bits
+        assert heard >> (n - 1) & 1   # the last node, in the last byte, was heard
