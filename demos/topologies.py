@@ -6,7 +6,7 @@ on a 140 m side, 100 nodes on a 200 m side, and so on.
 
 import math
 
-from antwsn.kernel import RandomStreams
+from antwsn.kernel import RandomStream
 from antwsn.scenario import make_grid, make_random_square, make_trajectory
 
 
@@ -26,17 +26,15 @@ def grid_layout():
 
 
 def random_layouts():
-    streams = RandomStreams(11, {})
     for n in (49, 100):
-        topo = make_random_square(n, streams.stream(f"topo{n}"), 35.0, 1000)
+        topo = make_random_square(n, RandomStream(11, f"topo{n}"), 35.0, 1000)
         describe(f"random square, {n} nodes", topo)
         print(f"  density {n / topo.side ** 2 * 1e4:.2f} nodes per 100x100 m\n")
 
 
 def sink_binding():
-    streams = RandomStreams(11, {})
     topo = make_grid(49, spacing=20.0, tx_radius=35.0)
-    mob = streams.stream("mobility")
+    mob = RandomStream(11, "mobility")
     point = (mob.uniform() * topo.side, mob.uniform() * topo.side)
     host = topo.nearest_node(point)
     print("static scenario: collection point drawn uniformly, nearest node hosts")
@@ -45,10 +43,9 @@ def sink_binding():
 
 
 def orbit():
-    streams = RandomStreams(11, {})
     topo = make_grid(49, spacing=20.0, tx_radius=35.0)
     traj = make_trajectory(topo.side, duration=100.0,
-                           rng=streams.stream("mobility"),
+                           rng=RandomStream(11, "mobility"),
                            radius_frac=0.25)
     print("dynamic scenario: the sink orbits the field center, one revolution")
     samples = []

@@ -10,7 +10,7 @@ can be compared under identical seeds.
 from .config import ConfigError, SimConfig, load_config
 from .harness import (ExperimentPlan, ResultTable, cell_seed, load_plan,
                       run_experiment)
-from .kernel import RandomStream, RandomStreams, SchedulingError, Simulator
+from .kernel import RandomStream, SchedulingError, Simulator
 from .metrics import RunMetrics
 from .protocols import PROTOCOLS, make_protocol
 from .radio import (EnergyLedger, Frame, Medium, ideal_reception,
@@ -24,8 +24,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Ant", "AntCache", "ConfigError", "EnergyLedger", "ExperimentPlan",
-    "Frame", "Medium", "PROTOCOLS", "RandomStream", "RandomStreams",
-    "ResultTable", "RoutingError", "RoutingTable", "RunMetrics", "RunResult",
+    "Frame", "Medium", "PROTOCOLS", "RandomStream", "ResultTable",
+    "RoutingError", "RoutingTable", "RunMetrics", "RunResult",
     "SchedulingError", "SimConfig", "Simulation", "Simulator",
     "SinkTrajectory", "Topology", "TopologyError", "TripModel", "cell_seed",
     "from_points", "ideal_reception", "load_config", "load_plan", "make_grid",

@@ -11,8 +11,6 @@ PROTOCOL_NAMES = ("babr", "sc", "ff", "fp", "eeabr", "ieeabr")
 LAYOUTS = ("grid", "random-square")
 SCENARIOS = ("static", "dynamic")
 
-STREAM_NAMES = ("topology", "traffic", "mobility", "radio", "mac", "protocol")
-
 # sc's initial softmax takes exp((C - Q_n) * sc_beta). Every neighbor lies
 # within one radius of the node, so each exponent lies in
 # [-|sc_beta|, |sc_beta|], and the cheapest neighbor's is sc_beta itself.
@@ -79,13 +77,6 @@ class SimConfig:
     tau0: float | None = None  # fresh pheromone per entry; None: 1/n
     # SC
     sc_beta: float = 1.0
-    # optional per-stream seed overrides (default: derived from `seed`)
-    seed_topology: int | None = None
-    seed_traffic: int | None = None
-    seed_mobility: int | None = None
-    seed_radio: int | None = None
-    seed_mac: int | None = None
-    seed_protocol: int | None = None
 
     def __post_init__(self):
         self.protocol = self.protocol.lower()
@@ -179,14 +170,6 @@ class SimConfig:
     def data_bits(self) -> int:
         return self.data_frame_bytes * 8
 
-    def stream_overrides(self) -> dict:
-        out = {}
-        for name in STREAM_NAMES:
-            v = getattr(self, f"seed_{name}")
-            if v is not None:
-                out[name] = v
-        return out
-
     def replace(self, **kwargs) -> "SimConfig":
         vals = {f.name: getattr(self, f.name) for f in fields(self)}
         vals.update(kwargs)
@@ -196,8 +179,7 @@ class SimConfig:
 _FIELD_NAMES = {f.name for f in fields(SimConfig)}
 # Annotations may surface as type objects or as strings depending on how the
 # module is evaluated; accept both spellings.
-_INT_FIELDS = {f.name for f in fields(SimConfig)
-               if f.type in (int, int | None, "int", "int | None")}
+_INT_FIELDS = {f.name for f in fields(SimConfig) if f.type in (int, "int")}
 _FLOAT_FIELDS = tuple(f.name for f in fields(SimConfig)
                       if f.type in (float, float | None, "float", "float | None"))
 

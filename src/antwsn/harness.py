@@ -84,18 +84,29 @@ class ResultTable:
         self.results = results          # cell tuple -> RunResult
         self.rows = [result_row(results[cell], replicate=cell[3])
                      for cell in plan.cells()]
+        self._stats = self._cell_stats()
         self.aggregates = self._aggregate()
 
-    def _cell_groups(self):
+    def _cell_stats(self) -> dict:
+        """(protocol, nodes, scenario) -> {metric: (mean, spread) or None},
+        each taken once over the cell's non-None values in row order."""
         groups = {}
         for row in self.rows:
             key = (row["protocol"], row["nodes"], row["scenario"])
             groups.setdefault(key, []).append(row)
-        return groups
+        stats = {}
+        for cell, rows in groups.items():
+            stats[cell] = per_key = {}
+            for key in METRIC_KEYS:
+                values = [r[key] for r in rows if r[key] is not None]
+                per_key[key] = None if not values else (
+                    statistics.fmean(values),
+                    statistics.stdev(values) if len(values) > 1 else 0.0)
+        return stats
 
     def _aggregate(self) -> list:
         out = []
-        for (protocol, nodes, scenario), rows in sorted(self._cell_groups().items()):
+        for (protocol, nodes, scenario), per_key in sorted(self._stats.items()):
             agg = {
                 "run_id": f"{protocol}-{nodes}-{scenario}-agg",
                 "protocol": protocol,
@@ -103,23 +114,15 @@ class ResultTable:
                 "scenario": scenario,
                 "replicate": "agg",
             }
-            for key in METRIC_KEYS:
-                values = [r[key] for r in rows if r[key] is not None]
-                if not values:
-                    agg[key] = None
-                else:
-                    mean = statistics.fmean(values)
-                    spread = statistics.stdev(values) if len(values) > 1 else 0.0
-                    agg[key] = f"{mean:.6g}±{spread:.6g}"
+            for key, stat in per_key.items():
+                agg[key] = None if stat is None else f"{stat[0]:.6g}±{stat[1]:.6g}"
             out.append(agg)
         return out
 
     def cell_mean(self, protocol: str, nodes: int, scenario: str, key: str):
         """Mean of one metric over a cell's replicates (None-aware)."""
-        rows = [r for r in self.rows
-                if (r["protocol"], r["nodes"], r["scenario"]) == (protocol, nodes, scenario)]
-        values = [r[key] for r in rows if r[key] is not None]
-        return statistics.fmean(values) if values else None
+        stat = self._stats.get((protocol, nodes, scenario), {}).get(key)
+        return None if stat is None else stat[0]
 
     # -- export --------------------------------------------------------------
 

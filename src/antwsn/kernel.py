@@ -157,26 +157,6 @@ class RandomStream:
         return float(self._gen.exponential(mean))
 
 
-class RandomStreams:
-    """Factory for the per-concern streams of one run, all derived from one seed.
-
-    Individual streams can be pinned to their own seeds via ``overrides``.
-    """
-
-    def __init__(self, seed: int, overrides: dict | None = None):
-        self.seed = seed
-        self._overrides = dict(overrides or {})
-        self._streams = {}
-
-    def stream(self, stream_id: str) -> RandomStream:
-        st = self._streams.get(stream_id)
-        if st is None:
-            seed = self._overrides.get(stream_id, self.seed)
-            st = RandomStream(seed, stream_id)
-            self._streams[stream_id] = st
-        return st
-
-
 def weighted_pick(weights, u: float) -> int:
     """Index drawn from non-negative weights using a single uniform u in [0,1).
 

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 class RunMetrics:
     generated: int = 0
     delivered: int = 0
-    latency_sum: float = 0.0
     latencies: list = field(default_factory=list)
     delivered_bits: int = 0
 
@@ -19,7 +18,6 @@ class RunMetrics:
         if now < created_at:
             raise ValueError("delivery before creation")
         self.delivered += 1
-        self.latency_sum += now - created_at
         self.latencies.append(now - created_at)
         self.delivered_bits += bits
 
@@ -29,7 +27,12 @@ class RunMetrics:
         was delivered (an absent value, not a zero)."""
         if self.delivered == 0:
             return None
-        return self.latency_sum / self.delivered
+        # Left to right from 0.0: builtin sum compensates rounding from
+        # Python 3.12 on, which would move the figure's last bits.
+        total = 0.0
+        for latency in self.latencies:
+            total += latency
+        return total / self.delivered
 
     def latency_percentiles(self):
         """(p50, p95, max) seconds from generation to sink arrival; all None

@@ -9,8 +9,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import kernel
-from .config import SimConfig
-from .kernel import RandomStreams, Simulator
+from .config import ConfigError, SimConfig
+from .kernel import RandomStream, Simulator
 from .metrics import RunMetrics
 from .protocols import make_protocol
 from .radio import EnergyLedger, Frame, Medium
@@ -19,16 +19,17 @@ from .scenario import (Topology, make_grid, make_random_square, make_trajectory,
 
 
 class _Streams:
-    """The named draw sequences of one run, created in a fixed order."""
+    """The named draw sequences of one run. Each is seeded from the run's
+    seed and its own name, so neither the order they are built in nor
+    another stream's draws can change its sequence."""
 
-    def __init__(self, seed: int, overrides: dict):
-        factory = RandomStreams(seed, overrides)
-        self.topology = factory.stream("topology")
-        self.traffic = factory.stream("traffic")
-        self.mobility = factory.stream("mobility")
-        self.radio = factory.stream("radio")
-        self.mac = factory.stream("mac")
-        self.protocol = factory.stream("protocol")
+    def __init__(self, seed: int):
+        self.topology = RandomStream(seed, "topology")
+        self.traffic = RandomStream(seed, "traffic")
+        self.mobility = RandomStream(seed, "mobility")
+        self.radio = RandomStream(seed, "radio")
+        self.mac = RandomStream(seed, "mac")
+        self.protocol = RandomStream(seed, "protocol")
 
 
 @dataclass
@@ -68,13 +69,20 @@ class Simulation:
         self.kernel = Simulator()
         self._trace = hashlib.sha256()
         self.kernel.trace = self._trace
-        self.rng = _Streams(cfg.seed, cfg.stream_overrides())
+        self.rng = _Streams(cfg.seed)
         self.counters = Counter()
         self.metrics = RunMetrics()
         self._ant_uids = itertools.count(1)
         self._packet_uids = itertools.count(1)
 
-        self.topology = topology if topology is not None else self._build_topology()
+        if topology is None:
+            topology = self._build_topology()
+        elif topology.tx_radius != cfg.tx_radius:
+            # Routing uses the topology's neighbor lists, while carrier sense
+            # and the default rx_threshold use the config's radius.
+            raise ConfigError(f"topology tx_radius {topology.tx_radius!r} differs from "
+                              f"config tx_radius {cfg.tx_radius!r}")
+        self.topology = topology
         self._bind_sink()
 
         self.protocol = make_protocol(cfg.protocol, self)

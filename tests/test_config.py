@@ -37,11 +37,6 @@ class TestDefaults:
     def test_protocol_name_is_case_insensitive(self):
         assert SimConfig(protocol="IEEABR").protocol == "ieeabr"
 
-    def test_stream_overrides_collects_only_set_seeds(self):
-        cfg = SimConfig(seed_radio=11, seed_protocol=12)
-        assert cfg.stream_overrides() == {"radio": 11, "protocol": 12}
-        assert SimConfig().stream_overrides() == {}
-
     def test_replace_returns_validated_copy(self):
         cfg = SimConfig()
         other = cfg.replace(nodes=16, layout="grid")
@@ -143,11 +138,10 @@ class TestKvFormat:
     def test_mapping_types_are_converted(self):
         cfg = config_from_mapping({
             "protocol": "eeabr", "nodes": "25", "traffic_rate": "0.1",
-            "tau0": "0.05", "seed_radio": "9"})
+            "tau0": "0.05"})
         assert cfg.nodes == 25
         assert cfg.traffic_rate == 0.1
         assert cfg.tau0 == 0.05
-        assert cfg.seed_radio == 9
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antwsn.kernel import (RandomStream, RandomStreams, SchedulingError,
-                           Simulator, weighted_pick)
+from antwsn.kernel import RandomStream, SchedulingError, Simulator, weighted_pick
 
 
 def collect(sim, kind, out):
@@ -229,19 +228,6 @@ class TestRandomStream:
     def test_exponential_positive(self):
         st = RandomStream(5, "s")
         assert all(st.exponential(2.0) > 0 for _ in range(50))
-
-
-class TestRandomStreams:
-    def test_stream_is_cached(self):
-        factory = RandomStreams(9)
-        assert factory.stream("traffic") is factory.stream("traffic")
-
-    def test_override_pins_one_stream(self):
-        plain = RandomStreams(9)
-        pinned = RandomStreams(9, {"traffic": 123})
-        assert pinned.stream("traffic").uniform() != plain.stream("traffic").uniform()
-        # untouched streams keep the base seed
-        assert pinned.stream("radio").uniform() == RandomStreams(9).stream("radio").uniform()
 
 
 class TestWeightedPick:

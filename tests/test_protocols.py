@@ -5,7 +5,7 @@ import pytest
 from conftest import build_sim
 
 from antwsn import kernel
-from antwsn.config import PROTOCOL_NAMES, SimConfig
+from antwsn.config import PROTOCOL_NAMES, ConfigError, SimConfig
 from antwsn.protocols import eeabr
 from antwsn.protocols.base import DataPacket
 from antwsn.protocols.eeabr import selection_weights
@@ -291,6 +291,16 @@ class TestDataPipeline:
         cfg = SimConfig(protocol=protocol, nodes=len(points), duration=1.0)
         with pytest.raises(RoutingError, match="no neighbors"):
             Simulation(cfg, from_points(points, require_connected=False))
+
+    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+    def test_topology_radius_must_match_config(self, protocol):
+        # At 20 m node 0 routes to [1] only; at the config's 35 m it would
+        # also sense node 2's carrier.
+        points = [(15.0 * i, 0.0) for i in range(5)]
+        cfg = SimConfig(protocol=protocol, nodes=len(points), duration=1.0)
+        with pytest.raises(ConfigError, match=r"topology tx_radius 20\.0 .* config tx_radius 35\.0"):
+            Simulation(cfg, from_points(points, tx_radius=20.0))
+        Simulation(cfg.replace(tx_radius=20.0), from_points(points, tx_radius=20.0))
 
     def test_overheard_unicast_is_ignored(self):
         sim = build_sim("babr", LINE3, sink=2)
