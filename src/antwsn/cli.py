@@ -13,7 +13,7 @@ import sys
 import traceback
 from pathlib import Path
 
-from .config import ConfigError, SimConfig, load_config
+from .config import ConfigError, SimConfig, config_from_mapping, parse_kv_text
 from .harness import csv_text, load_plan, result_row, run_experiment
 from .scenario import TopologyError
 from .simulation import Simulation
@@ -30,11 +30,13 @@ def _add_scenario_flags(p):
 
 
 def _build_config(args) -> SimConfig:
-    cfg = load_config(args.config) if args.config else SimConfig()
-    overrides = {k: getattr(args, k) for k in
-                 ("protocol", "nodes", "scenario", "layout", "seed", "duration")
-                 if getattr(args, k, None) is not None}
-    return cfg.replace(**overrides) if overrides else cfg
+    """The config file's keys with the flags laid over them, validated once."""
+    text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+    mapping = parse_kv_text(text)
+    mapping.update({k: getattr(args, k) for k in
+                    ("protocol", "nodes", "scenario", "layout", "seed", "duration")
+                    if getattr(args, k) is not None})
+    return config_from_mapping(mapping)
 
 
 def _cmd_run(args) -> int:

@@ -170,18 +170,10 @@ class SimConfig:
     def data_bits(self) -> int:
         return self.data_frame_bytes * 8
 
-    def replace(self, **kwargs) -> "SimConfig":
-        vals = {f.name: getattr(self, f.name) for f in fields(self)}
-        vals.update(kwargs)
-        return SimConfig(**vals)
-
 
 _FIELD_NAMES = {f.name for f in fields(SimConfig)}
-# Annotations may surface as type objects or as strings depending on how the
-# module is evaluated; accept both spellings.
-_INT_FIELDS = {f.name for f in fields(SimConfig) if f.type in (int, "int")}
-_FLOAT_FIELDS = tuple(f.name for f in fields(SimConfig)
-                      if f.type in (float, float | None, "float", "float | None"))
+_INT_FIELDS = {f.name for f in fields(SimConfig) if f.type is int}
+_FLOAT_FIELDS = tuple(f.name for f in fields(SimConfig) if f.type in (float, float | None))
 
 
 def _convert(key: str, raw: str):

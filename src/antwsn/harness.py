@@ -9,13 +9,14 @@ serially or in a process pool.
 import csv
 import hashlib
 import io
+import itertools
 import json
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .config import (ConfigError, PROTOCOL_NAMES, SCENARIOS, SimConfig,
-                     _convert, config_from_mapping, parse_kv_text)
+from .config import (ConfigError, PROTOCOL_NAMES, SimConfig, _convert,
+                     config_from_mapping, parse_kv_text)
 from .simulation import run_single
 
 CSV_COLUMNS = ("run_id", "protocol", "nodes", "scenario", "replicate",
@@ -41,12 +42,13 @@ class ExperimentPlan:
     def __post_init__(self):
         self.protocols = tuple(p.lower() for p in self.protocols)
         self.scenarios = tuple(s.lower() for s in self.scenarios)
-        for p in self.protocols:
-            if p not in PROTOCOL_NAMES:
-                raise ConfigError(f"unknown protocol {p!r}")
-        for s in self.scenarios:
-            if s not in SCENARIOS:
-                raise ConfigError(f"unknown scenario {s!r}")
+        for name in ("protocols", "node_counts", "scenarios"):
+            axis = getattr(self, name)
+            if not axis:
+                raise ConfigError(f"plan {name} must not be empty")
+            repeated = sorted({x for x in axis if axis.count(x) > 1})
+            if repeated:
+                raise ConfigError(f"plan {name} list {repeated} more than once")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         reserved = {"protocol", "nodes", "scenario", "seed"}
@@ -54,6 +56,12 @@ class ExperimentPlan:
         if bad:
             raise ConfigError(f"plan overrides may not set {sorted(bad)}; "
                               "use the plan fields instead")
+        self.overrides = {k: _convert(k, v) if isinstance(v, str) else v
+                          for k, v in self.overrides.items()}
+        # Every cell config is checked before any cell runs; replicates differ
+        # only in their seed.
+        for p, n, s in itertools.product(self.protocols, self.node_counts, self.scenarios):
+            self.cell_config(p, n, s, 1)
 
     def cells(self) -> list:
         """(protocol, nodes, scenario, replicate) tuples in output order."""
@@ -66,8 +74,9 @@ class ExperimentPlan:
     def cell_config(self, protocol: str, nodes: int, scenario: str,
                     replicate: int) -> SimConfig:
         seed = cell_seed(self.base_seed, protocol, nodes, scenario, replicate)
-        return SimConfig(protocol=protocol, nodes=nodes, scenario=scenario,
-                         seed=seed, **self.overrides)
+        return config_from_mapping({**self.overrides, "protocol": protocol,
+                                    "nodes": nodes, "scenario": scenario,
+                                    "seed": seed})
 
 
 def cell_seed(base_seed: int, protocol: str, nodes: int, scenario: str,
@@ -218,7 +227,6 @@ def run_experiment(plan: ExperimentPlan, parallel: int = 0) -> ResultTable:
     return ResultTable(plan, results)
 
 
-_PLAN_LIST_KEYS = {"protocols", "nodes", "scenarios"}
 _PLAN_INT_KEYS = {"replicates", "seed"}
 
 
@@ -226,22 +234,20 @@ def parse_plan_text(text: str) -> ExperimentPlan:
     """Plan files are flat key = value, like scenario configs.
 
     Recognized keys: protocols, nodes, scenarios (comma lists), replicates,
-    seed. Every other key is passed through as a SimConfig override and
-    validated there.
+    seed. Every other key is passed through as a SimConfig override;
+    ExperimentPlan checks all of them.
     """
     mapping = parse_kv_text(text)
     kwargs = {}
     overrides = {}
     for key, raw in mapping.items():
-        if key == "protocols":
-            kwargs["protocols"] = tuple(x.strip() for x in raw.split(",") if x.strip())
+        if key in ("protocols", "scenarios"):
+            kwargs[key] = tuple(x.strip() for x in raw.split(",") if x.strip())
         elif key == "nodes":
             try:
                 kwargs["node_counts"] = tuple(int(x) for x in raw.split(","))
             except ValueError:
                 raise ConfigError(f"nodes expects integers, got {raw!r}") from None
-        elif key == "scenarios":
-            kwargs["scenarios"] = tuple(x.strip() for x in raw.split(",") if x.strip())
         elif key in _PLAN_INT_KEYS:
             try:
                 kwargs["base_seed" if key == "seed" else key] = int(raw)
@@ -249,11 +255,7 @@ def parse_plan_text(text: str) -> ExperimentPlan:
                 raise ConfigError(f"{key} expects an integer, got {raw!r}") from None
         else:
             overrides[key] = raw
-    if overrides:
-        # Probe-build once so bad override keys or values fail at parse time.
-        config_from_mapping(dict(overrides))
-        kwargs["overrides"] = {k: _convert(k, raw) for k, raw in overrides.items()}
-    return ExperimentPlan(**kwargs)
+    return ExperimentPlan(overrides=overrides, **kwargs)
 
 
 def load_plan(path) -> ExperimentPlan:

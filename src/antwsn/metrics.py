@@ -9,17 +9,15 @@ class RunMetrics:
     generated: int = 0
     delivered: int = 0
     latencies: list = field(default_factory=list)
-    delivered_bits: int = 0
 
     def record_generated(self):
         self.generated += 1
 
-    def record_delivered(self, created_at: float, now: float, bits: int):
+    def record_delivered(self, created_at: float, now: float):
         if now < created_at:
             raise ValueError("delivery before creation")
         self.delivered += 1
         self.latencies.append(now - created_at)
-        self.delivered_bits += bits
 
     @property
     def latency_mean(self):
@@ -58,8 +56,9 @@ class RunMetrics:
             return 0.0
         return 100.0 * self.delivered / self.generated
 
-    def efficiency_kbit_per_j(self, energy_total: float) -> float:
-        """Delivered kilobits per Joule consumed network-wide."""
+    def efficiency_kbit_per_j(self, energy_total: float, packet_bits: int) -> float:
+        """Delivered kilobits per Joule consumed network-wide; every delivered
+        packet carries `packet_bits`."""
         if self.delivered == 0 or energy_total <= 0:
             return 0.0
-        return (self.delivered_bits / 1000.0) / energy_total
+        return (self.delivered * packet_bits / 1000.0) / energy_total

@@ -216,7 +216,7 @@ class Simulation:
         self.counters[name] += amount
 
     def record_delivered(self, created_at: float, now: float):
-        self.metrics.record_delivered(created_at, now, self.cfg.data_bits)
+        self.metrics.record_delivered(created_at, now)
 
     # -- running ---------------------------------------------------------------
 
@@ -249,7 +249,7 @@ class Simulation:
             latency_max_s=worst,
             success_rate_pct=self.metrics.success_rate_pct,
             energy_j=energy,
-            efficiency_kbit_per_j=self.metrics.efficiency_kbit_per_j(energy),
+            efficiency_kbit_per_j=self.metrics.efficiency_kbit_per_j(energy, cfg.data_bits),
             conservation_rel_gap=rel_gap,
             max_live_forward_ants=quota.max_live if quota is not None else None,
             counters=dict(self.counters),

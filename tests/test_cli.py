@@ -54,6 +54,15 @@ class TestRun:
         assert code == 0
         assert "protocol=babr nodes=9" in out   # flag beats file
 
+    def test_flags_override_file_keys_before_validation(self, capsys, tmp_path):
+        # 12 nodes cannot form a grid; the flag's 16 replaces them first.
+        conf = tmp_path / "scenario.conf"
+        conf.write_text("nodes = 12\nlayout = grid\nduration = 2\n")
+        code, out, err = run_cli(capsys, "run", "--config", str(conf),
+                                 "--protocol", "babr", "--nodes", "16")
+        assert code == 0, err
+        assert "protocol=babr nodes=16" in out
+
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "run", "--config", "/no/such/file.conf")
         assert code == 1
@@ -157,6 +166,22 @@ class TestSweep:
         assert code == 1
         assert "config error" in err
         assert not (out_dir / "results.csv").exists()
+
+    @pytest.mark.parametrize("axes", [
+        "protocols = babr\nnodes = 9, 9\n",
+        "protocols = ,\nnodes = 9\n",
+        "protocols = babr\nnodes = 9\nscenarios = static, STATIC\n",
+    ])
+    def test_repeated_or_empty_axis_fails_before_any_cell_runs(self, capsys, tmp_path, axes):
+        plan = tmp_path / "bad.plan"
+        plan.write_text(axes + "replicates = 2\nduration = 2\nlayout = grid\n")
+        out_dir = tmp_path / "sweepout"
+        code, out, err = run_cli(capsys, "sweep", "--plan", str(plan),
+                                 "--out", str(out_dir))
+        assert code == 1
+        assert "config error" in err
+        assert out == ""
+        assert not out_dir.exists()
 
     def test_missing_plan_file(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--plan", "/no/plan",

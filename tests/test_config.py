@@ -1,5 +1,6 @@
 """Configuration defaults, validation rules, and the key = value format."""
 
+import dataclasses
 import math
 import sys
 
@@ -39,11 +40,11 @@ class TestDefaults:
 
     def test_replace_returns_validated_copy(self):
         cfg = SimConfig()
-        other = cfg.replace(nodes=16, layout="grid")
+        other = dataclasses.replace(cfg, nodes=16, layout="grid")
         assert other.nodes == 16
         assert cfg.nodes == 49
         with pytest.raises(ConfigError):
-            cfg.replace(nodes=15, layout="grid")
+            dataclasses.replace(cfg, nodes=15, layout="grid")
 
 
 class TestValidation:

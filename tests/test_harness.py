@@ -59,10 +59,26 @@ class TestPlanValidation:
         dict(overrides={"nodes": 9}),
         dict(overrides={"scenario": "static"}),
         dict(overrides={"seed": 3}),
+        dict(protocols=()),
+        dict(node_counts=()),
+        dict(scenarios=()),
+        dict(overrides={"durationn": 60}),
+        dict(overrides={"bitrate": "fast"}),
+        dict(node_counts=(9, 12), overrides={"layout": "grid"}),
     ])
     def test_rejected(self, bad):
         with pytest.raises(ConfigError):
             ExperimentPlan(**bad)
+
+    @pytest.mark.parametrize("axis, entries, repeated", [
+        ("protocols", ("babr", "sc", "babr"), "'babr'"),
+        ("protocols", ("babr", "BABR"), "'babr'"),
+        ("node_counts", (9, 16, 9), "9"),
+        ("scenarios", ("static", "dynamic", "Static"), "'static'"),
+    ])
+    def test_repeated_axis_entry_rejected(self, axis, entries, repeated):
+        with pytest.raises(ConfigError, match=rf"plan {axis} list \[{repeated}\] more than once"):
+            ExperimentPlan(**{axis: entries})
 
     def test_cells_enumerate_in_sorted_order(self):
         plan = ExperimentPlan(protocols=("sc", "babr"), node_counts=(16, 9),

@@ -119,23 +119,23 @@ class TestRunMetrics:
         assert m.latency_mean is None
         assert m.latency_percentiles() == (None, None, None)
         assert m.success_rate_pct == 0.0
-        assert m.efficiency_kbit_per_j(5.0) == 0.0
+        assert m.efficiency_kbit_per_j(5.0, 400) == 0.0
 
     def test_delivery_accounting(self):
         m = RunMetrics()
         m.record_generated()
         m.record_generated()
-        m.record_delivered(1.0, 3.0, 400)
+        m.record_delivered(1.0, 3.0)
         assert m.latency_mean == pytest.approx(2.0)
         assert m.success_rate_pct == pytest.approx(50.0)
-        assert m.efficiency_kbit_per_j(2.0) == pytest.approx(0.2)
+        assert m.efficiency_kbit_per_j(2.0, 400) == pytest.approx(0.2)
 
     @pytest.mark.parametrize("count", [1, 2, 7, 20, 101])
     def test_latency_percentiles_match_numpy(self, count):
         latencies = np.random.default_rng(count).exponential(0.1, count)
         m = RunMetrics()
         for latency in latencies:
-            m.record_delivered(0.0, float(latency), 400)
+            m.record_delivered(0.0, float(latency))
         p50, p95, worst = m.latency_percentiles()
         assert [p50, p95] == pytest.approx(np.percentile(latencies, [50, 95]), rel=1e-12)
         assert worst == latencies.max()
@@ -143,10 +143,10 @@ class TestRunMetrics:
     def test_time_travel_rejected(self):
         m = RunMetrics()
         with pytest.raises(ValueError):
-            m.record_delivered(5.0, 4.0, 400)
+            m.record_delivered(5.0, 4.0)
 
     def test_zero_energy_guard(self):
         m = RunMetrics()
         m.record_generated()
-        m.record_delivered(0.0, 1.0, 400)
-        assert m.efficiency_kbit_per_j(0.0) == 0.0
+        m.record_delivered(0.0, 1.0)
+        assert m.efficiency_kbit_per_j(0.0, 400) == 0.0

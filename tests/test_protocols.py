@@ -1,6 +1,8 @@
 """Protocol behavior on hand-built topologies: single-ant traces, flood
 discipline, loop kills, table priming, and the data pipeline."""
 
+import dataclasses
+
 import pytest
 from conftest import build_sim
 
@@ -300,7 +302,7 @@ class TestDataPipeline:
         cfg = SimConfig(protocol=protocol, nodes=len(points), duration=1.0)
         with pytest.raises(ConfigError, match=r"topology tx_radius 20\.0 .* config tx_radius 35\.0"):
             Simulation(cfg, from_points(points, tx_radius=20.0))
-        Simulation(cfg.replace(tx_radius=20.0), from_points(points, tx_radius=20.0))
+        Simulation(dataclasses.replace(cfg, tx_radius=20.0), from_points(points, tx_radius=20.0))
 
     def test_overheard_unicast_is_ignored(self):
         sim = build_sim("babr", LINE3, sink=2)
