@@ -120,8 +120,6 @@ class RandomStream:
     """
 
     def __init__(self, seed: int, stream_id: str):
-        self.seed = seed
-        self.stream_id = stream_id
         ss = np.random.SeedSequence([seed & _SEED_MASK, _stream_entropy(stream_id)])
         self._gen = np.random.Generator(np.random.PCG64(ss))
 

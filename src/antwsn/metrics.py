@@ -7,8 +7,7 @@ from dataclasses import dataclass, field
 @dataclass
 class RunMetrics:
     generated: int = 0
-    delivered: int = 0
-    latencies: list = field(default_factory=list)
+    latencies: list = field(default_factory=list)   # one per delivered packet
 
     def record_generated(self):
         self.generated += 1
@@ -16,8 +15,11 @@ class RunMetrics:
     def record_delivered(self, created_at: float, now: float):
         if now < created_at:
             raise ValueError("delivery before creation")
-        self.delivered += 1
         self.latencies.append(now - created_at)
+
+    @property
+    def delivered(self) -> int:
+        return len(self.latencies)
 
     @property
     def latency_mean(self):

@@ -1,9 +1,12 @@
 """Shared protocol scaffolding.
 
 A protocol instance owns the routing state of every node in one run and
-reacts to three stimuli: data generated at a node, a frame delivered by the
-radio, and its own timers. Concrete subclasses define table semantics and
-the ant lifecycle; data-packet plumbing lives here.
+reacts to the simulation's hooks below: data generated at a node, a frame
+delivered by the radio or lost, an ant-launch tick, a sink move. Concrete
+subclasses define table semantics and the ant lifecycle; data-packet
+plumbing lives here. Timers are not a hook: the flood protocols (FF and its
+subclass FP) are the only ones that set any, and FF registers its own
+PROTO_TIMER handler with the kernel.
 
 The radio hands every node that heard a frame to `on_frame_received`,
 including the nodes that overheard a unicast addressed to another node.
@@ -25,8 +28,6 @@ from ..routing import SINK  # noqa: F401  (re-exported)
 
 @dataclass
 class DataPacket:
-    uid: int
-    origin: int
     created_at: float
     ttl: int        # remaining hop budget
 
@@ -64,11 +65,9 @@ class Protocol:
     def on_sink_changed(self, old_node: int, new_node: int):
         pass
 
-    def on_timer(self, node: int, data):
-        pass
-
-    def on_frame_lost(self, frame: Frame, reason: str, dst_dead: bool):
-        """A frame died in the MAC or was never received by its addressee."""
+    def on_frame_lost(self, frame: Frame, dst_dead: bool):
+        """A frame died in the MAC or was never received by its addressee;
+        `dst_dead` is True when the addressee was dead."""
 
     # -- frame dispatch ----------------------------------------------------
 
@@ -101,8 +100,7 @@ class Protocol:
         if node == sim.sink_node:
             sim.record_delivered(sim.now, sim.now)
             return None
-        return DataPacket(uid=sim.new_packet_uid(), origin=node,
-                          created_at=sim.now,
+        return DataPacket(created_at=sim.now,
                           ttl=int(self.cfg.data_ttl_factor * sim.topology.n))
 
     def on_data_generated(self, node: int):

@@ -123,7 +123,7 @@ class EEABR(Protocol):
         to a neighbor outside its two-node memory."""
         sim = self.sim
         ant.visit(node, sim.now)
-        ant.record_energy(sim.residual(node))
+        ant.record_energy(sim.ledger.residual[node])
         if node == sim.sink_node:
             sim.count("fwd_ants_arrived")
             self._ant_died(ant)
@@ -176,7 +176,7 @@ class EEABR(Protocol):
 
     # -- loss bookkeeping ----------------------------------------------------
 
-    def on_frame_lost(self, frame, reason: str, dst_dead: bool):
+    def on_frame_lost(self, frame, dst_dead: bool):
         if frame.kind == FORWARD_ANT:
             self.sim.count("fwd_ants_lost")
             self._ant_died(frame.payload["ant"])

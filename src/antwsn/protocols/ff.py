@@ -4,6 +4,7 @@ suppress the flood; backward ants retrace each arriving copy exactly as in
 the basic protocol.
 """
 
+from ..kernel import PROTO_TIMER
 from ..radio import BROADCAST, FORWARD_ANT
 from ..routing import Ant
 from .babr import PathReinforceProtocol
@@ -31,6 +32,7 @@ class FF(PathReinforceProtocol):
         self._seen = {}
         self._pending = {}          # (node, ant uid) -> scheduled rebroadcast
         self._reinforced = set()    # nodes whose sink column has real opinions
+        sim.kernel.on(PROTO_TIMER, self.on_timer)
 
     def launch_ant(self, node: int):
         sim = self.sim
@@ -58,8 +60,8 @@ class FF(PathReinforceProtocol):
         mine = ant.fork()
         mine.visit(node, sim.now)
         delay = sim.rng.protocol.uniform() * self.cfg.ff_delay_max
-        ev = sim.schedule_timer(sim.now + delay, node,
-                                (frame.kind, {**frame.payload, "ant": mine}))
+        ev = sim.kernel.schedule(sim.now + delay, PROTO_TIMER,
+                                 (node, frame.kind, {**frame.payload, "ant": mine}))
         self._pending[(node, mine.uid)] = ev
 
     def _first_sight(self, node: int, uid: int) -> bool:
@@ -91,11 +93,16 @@ class FF(PathReinforceProtocol):
             return self.cfg.ant_bits
         return self.cfg.data_bits + self.cfg.ant_bits
 
-    def on_timer(self, node: int, data):
-        # The only timer a flood protocol sets is a scheduled rebroadcast.
-        kind, payload = data
+    def on_timer(self, ev):
+        """PROTO_TIMER handler. The only timer a flood protocol sets is a
+        scheduled rebroadcast; a node that died since scheduling airs
+        nothing, and its entry stays in `_pending`."""
+        node, kind, payload = ev.payload
+        sim = self.sim
+        if not sim.ledger.alive(node):
+            return
         self._pending.pop((node, payload["ant"].uid), None)
-        self.sim.send_frame(node, BROADCAST, kind, self._flood_bits(kind), payload)
+        sim.send_frame(node, BROADCAST, kind, self._flood_bits(kind), payload)
 
     def _apply_reinforcement(self, node: int, came_from: int, trip: float):
         super()._apply_reinforcement(node, came_from, trip)

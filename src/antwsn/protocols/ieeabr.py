@@ -112,8 +112,8 @@ class IEEABR(EEABR):
 
     # -- dead-neighbor handling ---------------------------------------------
 
-    def on_frame_lost(self, frame, reason: str, dst_dead: bool):
-        super().on_frame_lost(frame, reason, dst_dead)
+    def on_frame_lost(self, frame, dst_dead: bool):
+        super().on_frame_lost(frame, dst_dead)
         if not dst_dead or frame.dst == BROADCAST:
             return
         table = self.tables[frame.src]

@@ -153,6 +153,8 @@ class Medium:
     energy debits for transmitters and every audible receiver, collision
     resolution, and delivery of surviving frames to the network layer.
     Radio, MAC and energy settings are read from `cfg`, already validated.
+    The geometry is the `topology`'s: the medium takes its distance matrix
+    and neighbor lists and computes no distance itself.
 
     MAC state is each node's frame queue plus the frames on the channel. A
     node is in a MAC cycle exactly when its queue is non-empty: the head
@@ -164,10 +166,11 @@ class Medium:
     `_inflight`, a dict from sender to its frame's `_Transmission` (a node
     airs only its queue head, so it has at most one frame on the channel),
     and `_air_bits`, the set of those senders: TX_START adds the sender and
-    its TX_END removes it. `_in_range_bits[node]` is the set of nodes within
-    `tx_radius` of `node`, its carrier-sense disk. A node senses the channel
-    busy when a sender in its disk has a frame with `t1 > now`, so a frame
-    whose TX_END is due at `now` but not yet dispatched reads idle.
+    its TX_END removes it. `_in_range_bits[node]` is `node`'s carrier-sense
+    disk, which is its routing neighbor set `topology.neighbors[node]`. A
+    node senses the channel busy when a sender in its disk has a frame with
+    `t1 > now`, so a frame whose TX_END is due at `now` but not yet
+    dispatched reads idle.
 
     Every live node that hears a frame without a collision is charged the
     rx cost, and every one that survives the charge, addressee or not, is
@@ -187,7 +190,7 @@ class Medium:
       on_mac_drop(frame, reason)      -- frame never aired ('busy', 'energy', 'dead')
     """
 
-    def __init__(self, sim, positions, cfg: SimConfig, ledger: EnergyLedger,
+    def __init__(self, sim, topology, cfg: SimConfig, ledger: EnergyLedger,
                  rng_radio, rng_mac, deliver, on_undelivered, on_mac_drop):
         self.sim = sim
         self.cfg = cfg
@@ -201,16 +204,11 @@ class Medium:
         self.rx_threshold = (cfg.rx_threshold if cfg.rx_threshold is not None else
                              ideal_reception(cfg.p_transmit, cfg.tx_radius, cfg.gamma))
 
-        pos = np.asarray(positions, dtype=float)
-        self.n = len(pos)
-        diff = pos[:, None, :] - pos[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
+        self.n = topology.n
         # Row src: the ideal power of src's frames at every node.
-        self._ideal_rows = list(cfg.p_transmit / (1.0 + dist**cfg.gamma))
-        # Geometric disk used for carrier sensing (deterministic by design).
-        in_range = dist <= cfg.tx_radius
-        np.fill_diagonal(in_range, False)
-        self._in_range_bits = [_bits(column) for column in in_range.T]
+        self._ideal_rows = list(cfg.p_transmit / (1.0 + topology.dist**cfg.gamma))
+        # Carrier-sense disks (deterministic by design): the routing neighbors.
+        self._in_range_bits = [sum(1 << j for j in nbrs) for nbrs in topology.neighbors]
 
         self._queues = [deque() for _ in range(self.n)]
         self._inflight = {}

@@ -211,7 +211,6 @@ class TripModel:
         if not (0 < conf_gamma < 1):
             raise RoutingError("conf_gamma must lie in (0, 1)")
         self.eta = eta
-        self.conf_gamma = conf_gamma
         self.z = 1.0 / math.sqrt(1.0 - conf_gamma)
         self.window: deque = deque(maxlen=window)
         self.mu = None

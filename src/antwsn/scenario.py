@@ -19,10 +19,25 @@ class TopologyError(Exception):
 
 @dataclass
 class Topology:
+    """Node positions plus the geometry derived from them once: `dist`, the
+    n x n distance matrix, and `neighbors`, each node's sorted list of the
+    other nodes within `tx_radius`. Routing tables and the medium's
+    carrier-sense disks both read these."""
+
     positions: np.ndarray          # shape (n, 2), meters
     side: float
     tx_radius: float
-    neighbors: list = field(default_factory=list)  # sorted neighbor id lists
+    dist: np.ndarray = field(init=False, repr=False)
+    neighbors: list = field(init=False)
+
+    def __post_init__(self):
+        pos = self.positions
+        diff = pos[:, None, :] - pos[None, :, :]
+        self.dist = np.sqrt((diff**2).sum(axis=2))
+        within = self.dist <= self.tx_radius
+        np.fill_diagonal(within, False)
+        self.neighbors = [sorted(int(j) for j in np.flatnonzero(within[i]))
+                          for i in range(len(pos))]
 
     @property
     def n(self) -> int:
@@ -34,14 +49,6 @@ class Topology:
         if alive_mask is not None:
             d = np.where(alive_mask, d, np.inf)
         return int(np.argmin(d))
-
-
-def _neighbor_lists(positions: np.ndarray, tx_radius: float) -> list:
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    within = dist <= tx_radius
-    np.fill_diagonal(within, False)
-    return [sorted(int(j) for j in np.flatnonzero(within[i])) for i in range(len(positions))]
 
 
 def _connected(neighbors: list) -> bool:
@@ -65,10 +72,10 @@ def from_points(points, tx_radius: float = 35.0, side: float | None = None,
     pos = np.asarray(points, dtype=float)
     if side is None:
         side = float(pos.max()) if pos.size else 0.0
-    neighbors = _neighbor_lists(pos, tx_radius)
-    if require_connected and not _connected(neighbors):
+    top = Topology(positions=pos, side=side, tx_radius=tx_radius)
+    if require_connected and not _connected(top.neighbors):
         raise TopologyError("point set is not connected at this radio range")
-    return Topology(positions=pos, side=side, tx_radius=tx_radius, neighbors=neighbors)
+    return top
 
 
 def make_grid(n: int, spacing: float = 20.0, tx_radius: float = 35.0) -> Topology:
@@ -80,8 +87,7 @@ def make_grid(n: int, spacing: float = 20.0, tx_radius: float = 35.0) -> Topolog
         raise TopologyError("grid spacing exceeds the transmission radius")
     xs, ys = np.meshgrid(np.arange(k) * spacing, np.arange(k) * spacing)
     positions = np.column_stack([xs.ravel(), ys.ravel()]).astype(float)
-    top = Topology(positions, side=(k - 1) * spacing, tx_radius=tx_radius,
-                   neighbors=_neighbor_lists(positions, tx_radius))
+    top = Topology(positions, side=(k - 1) * spacing, tx_radius=tx_radius)
     if not _connected(top.neighbors):
         raise TopologyError("grid is not connected at this spacing/radius")
     return top
@@ -95,9 +101,9 @@ def make_random_square(n: int, rng, tx_radius: float = 35.0,
     side = REFERENCE_SIDE * math.sqrt(n / REFERENCE_NODES)
     for _ in range(max_retries):
         positions = np.column_stack([rng.uniforms(n) * side, rng.uniforms(n) * side])
-        neighbors = _neighbor_lists(positions, tx_radius)
-        if _connected(neighbors):
-            return Topology(positions, side=side, tx_radius=tx_radius, neighbors=neighbors)
+        top = Topology(positions, side=side, tx_radius=tx_radius)
+        if _connected(top.neighbors):
+            return top
     raise TopologyError(f"no connected placement of {n} nodes in {max_retries} draws")
 
 

@@ -73,13 +73,12 @@ class Simulation:
         self.counters = Counter()
         self.metrics = RunMetrics()
         self._ant_uids = itertools.count(1)
-        self._packet_uids = itertools.count(1)
 
         if topology is None:
             topology = self._build_topology()
         elif topology.tx_radius != cfg.tx_radius:
-            # Routing uses the topology's neighbor lists, while carrier sense
-            # and the default rx_threshold use the config's radius.
+            # Routing and carrier sense use the topology's neighbor lists,
+            # while the default rx_threshold uses the config's radius.
             raise ConfigError(f"topology tx_radius {topology.tx_radius!r} differs from "
                               f"config tx_radius {cfg.tx_radius!r}")
         self.topology = topology
@@ -88,7 +87,7 @@ class Simulation:
         self.protocol = make_protocol(cfg.protocol, self)
         self.ledger = EnergyLedger(self.topology.n, cfg.energy_budget)
         self.medium = Medium(
-            self.kernel, self.topology.positions, cfg, self.ledger,
+            self.kernel, self.topology, cfg, self.ledger,
             self.rng.radio, self.rng.mac,
             deliver=self.protocol.on_frame_received,
             on_undelivered=self._undelivered,
@@ -98,7 +97,6 @@ class Simulation:
         self.kernel.on(kernel.ANT_LAUNCH, self._handle_ant_launch)
         self.kernel.on(kernel.DATA_GENERATION, self._handle_data_generation)
         self.kernel.on(kernel.SINK_MOVE, self._handle_sink_move)
-        self.kernel.on(kernel.PROTO_TIMER, self._handle_proto_timer)
 
         self._schedule_traffic()
         self._schedule_ant_launches()
@@ -175,20 +173,15 @@ class Simulation:
                 self.protocol.on_sink_changed(old, new)
         self.kernel.schedule(ev.time + self.cfg.sink_update_period, kernel.SINK_MOVE)
 
-    def _handle_proto_timer(self, ev):
-        node, data = ev.payload
-        if self.ledger.alive(node):
-            self.protocol.on_timer(node, data)
-
     # -- medium callbacks ---------------------------------------------------
 
     def _undelivered(self, frame: Frame, dst_dead: bool):
         self.count("frames_undelivered")
-        self.protocol.on_frame_lost(frame, "undelivered", dst_dead)
+        self.protocol.on_frame_lost(frame, dst_dead)
 
     def _mac_drop(self, frame: Frame, reason: str):
         self.count(f"mac_drop_{reason}")
-        self.protocol.on_frame_lost(frame, reason, False)
+        self.protocol.on_frame_lost(frame, False)
 
     # -- surface used by protocols --------------------------------------------
 
@@ -196,21 +189,12 @@ class Simulation:
     def now(self) -> float:
         return self.kernel.now()
 
-    def residual(self, node: int) -> float:
-        return self.ledger.residual[node]
-
     def send_frame(self, src: int, dst: int, kind: str, size_bits: int, payload):
         self.medium.send(Frame(src=src, dst=dst, kind=kind,
                                size_bits=size_bits, payload=payload))
 
-    def schedule_timer(self, time: float, node: int, data):
-        return self.kernel.schedule(time, kernel.PROTO_TIMER, (node, data))
-
     def new_ant_uid(self) -> int:
         return next(self._ant_uids)
-
-    def new_packet_uid(self) -> int:
-        return next(self._packet_uids)
 
     def count(self, name: str, amount: int = 1):
         self.counters[name] += amount

@@ -183,7 +183,7 @@ def test_c3_selection_distribution_and_deposit_monotonicity():
     cands = [1, 2, 3]
     taus = [table.get(n) for n in cands]
     # The node hosting the sink is scored at the full budget.
-    residuals = [cfg.energy_budget if n == sim.sink_node else sim.residual(n)
+    residuals = [cfg.energy_budget if n == sim.sink_node else sim.ledger.residual[n]
                  for n in cands]
     weights = selection_weights(taus, residuals, cfg.alpha, cfg.beta,
                                 cfg.energy_budget)

@@ -35,7 +35,7 @@ def run_cell(points, protocol, seed, scenario, variant, pressure, failures):
 
     def drain(ev):
         node = ev.payload
-        sim.ledger.charge(node, "idle", sim.residual(node))
+        sim.ledger.charge(node, "idle", sim.ledger.residual[node])
 
     sim.kernel.on(NODE_FAILURE, drain)
     for t, node in failures:

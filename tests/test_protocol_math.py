@@ -228,7 +228,7 @@ class TestPickNext:
             return
         weights = selection_weights(
             [table.get(n) for n in candidates],
-            [budget if n == sink else sim.residual(n) for n in candidates],
+            [budget if n == sink else sim.ledger.residual[n] for n in candidates],
             alpha, beta, budget)
         if not any(w > 0 for w in weights):
             weights = [1.0] * len(candidates)

@@ -99,6 +99,24 @@ class TestFloodDiscipline:
         assert sim.counters["fwd_ants_arrived"] >= 1
         assert sim.protocol._pending == {}
 
+    def test_node_dead_at_its_rebroadcast_timer_airs_nothing(self):
+        sim = build_sim("ff", LINE3, sink=2)
+        sent = log_sends(sim)
+        sim.protocol.start()
+        ant = Ant(uid=sim.new_ant_uid())
+        ant.visit(0, 0.0)
+        frame = Frame(src=0, dst=BROADCAST, kind=FORWARD_ANT,
+                      size_bits=sim.cfg.ant_bits, payload={"ant": ant})
+        sim.protocol._on_flood_frame(1, frame)   # node 1 schedules its rebroadcast
+        [(key, timer)] = sim.protocol._pending.items()
+        assert key == (1, ant.uid) and timer.time < 1.0
+        sim.ledger.charge(1, "idle", sim.ledger.residual[1])   # node 1 dies
+        sim.kernel.run_until(1.0)
+        assert sim.kernel.dispatched == 1      # the timer fired
+        assert sent == [] and sim.medium.frames_sent == 0
+        assert sim.counters["mac_drop_dead"] == 0
+        assert key in sim.protocol._pending    # checked before the pop
+
     def test_first_sight_overrides_suppression(self):
         sim = build_sim("ff", LINE3, sink=2)
         sim.protocol.start()
@@ -135,12 +153,13 @@ class TestFloodedData:
 
     def test_delivery_counted_once_per_packet(self):
         sim = build_sim("fp", LINE3, sink=2)
-        packet = DataPacket(uid=7, origin=0, created_at=0.0, ttl=12)
+        packet = DataPacket(created_at=0.0, ttl=12)
+        ant = Ant(uid=sim.new_ant_uid())
+        ant.visit(0, 0.0)
         for src in (1, 1):
-            ant = Ant(uid=sim.new_ant_uid())
-            ant.visit(0, 0.0)
+            # Each copy carries its own fork of the packet's one flood ant.
             frame = Frame(src=src, dst=BROADCAST, kind=DATA_ANT, size_bits=560,
-                          payload={"packet": packet, "ant": ant})
+                          payload={"packet": packet, "ant": ant.fork()})
             sim.protocol._flood_at_sink(2, frame)
         assert sim.metrics.delivered == 1
         assert sim.counters["fwd_ants_arrived"] == 2  # both copies answered
@@ -175,7 +194,7 @@ class TestPheromoneSelection:
     def test_bound_sink_is_scored_at_full_headroom(self, monkeypatch):
         sim = build_sim("eeabr", STAR4, sink=3)
         sim.ledger.residual[3] = 0.5
-        assert sim.residual(3) == 0.5
+        assert sim.ledger.residual[3] == 0.5
         picked = []
 
         def first(weights, u):
@@ -185,7 +204,7 @@ class TestPheromoneSelection:
         assert sim.protocol._pick_next(0, (1,)) == 2
         cfg, table = sim.cfg, sim.protocol.tables[0]
         assert picked == [selection_weights(
-            [table.get(2), table.get(3)], [sim.residual(2), cfg.energy_budget],
+            [table.get(2), table.get(3)], [sim.ledger.residual[2], cfg.energy_budget],
             cfg.alpha, cfg.beta, cfg.energy_budget)]
 
     def test_loop_is_killed_on_second_visit(self):
@@ -256,7 +275,7 @@ class TestSmartPriming:
         mid = sim.protocol.tables[1]
         before = sum(mid.column)
         frame = Frame(src=1, dst=2, kind=DATA, size_bits=400, payload=None)
-        sim.protocol.on_frame_lost(frame, "undelivered", dst_dead=True)
+        sim.protocol.on_frame_lost(frame, dst_dead=True)
         assert mid.get(2) == 0.0
         assert mid.get(0) == pytest.approx(before)
         assert sim.counters["link_failures_rerouted"] == 1
@@ -267,7 +286,7 @@ class TestSmartPriming:
         mid = sim.protocol.tables[1]
         col = list(mid.column)
         frame = Frame(src=1, dst=2, kind=DATA, size_bits=400, payload=None)
-        sim.protocol.on_frame_lost(frame, "undelivered", dst_dead=False)
+        sim.protocol.on_frame_lost(frame, dst_dead=False)
         assert mid.column == col
 
 
@@ -283,7 +302,7 @@ class TestDataPipeline:
 
     def test_expired_hop_budget_drops_packet(self):
         sim = build_sim("babr", LINE3, sink=2)
-        packet = DataPacket(uid=1, origin=0, created_at=0.0, ttl=0)
+        packet = DataPacket(created_at=0.0, ttl=0)
         sim.protocol.forward_data(0, packet, arrived_from=None)
         assert sim.counters["data_ttl_expired"] == 1
 
@@ -296,8 +315,8 @@ class TestDataPipeline:
 
     @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
     def test_topology_radius_must_match_config(self, protocol):
-        # At 20 m node 0 routes to [1] only; at the config's 35 m it would
-        # also sense node 2's carrier.
+        # At 20 m node 0 routes to and senses [1] only; the config's 35 m
+        # would set a threshold at which it also decodes node 2.
         points = [(15.0 * i, 0.0) for i in range(5)]
         cfg = SimConfig(protocol=protocol, nodes=len(points), duration=1.0)
         with pytest.raises(ConfigError, match=r"topology tx_radius 20\.0 .* config tx_radius 35\.0"):
@@ -306,7 +325,7 @@ class TestDataPipeline:
 
     def test_overheard_unicast_is_ignored(self):
         sim = build_sim("babr", LINE3, sink=2)
-        packet = DataPacket(uid=1, origin=0, created_at=0.0, ttl=5)
+        packet = DataPacket(created_at=0.0, ttl=5)
         frame = Frame(src=0, dst=2, kind=DATA, size_bits=400,
                       payload={"packet": packet})
         sim.protocol.on_frame_received(1, frame)

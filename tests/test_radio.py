@@ -133,9 +133,10 @@ def build_medium(positions, initial=30.0, seed=1, **settings):
     sim = Simulator()
     ledger = EnergyLedger(len(positions), initial)
     log = {"delivered": [], "undelivered": [], "dropped": []}
+    cfg = SimConfig(sigma_alpha=0.0, sigma_beta=0.0, **settings)
     medium = Medium(
-        sim, positions, SimConfig(sigma_alpha=0.0, sigma_beta=0.0, **settings),
-        ledger, RandomStream(seed, "radio"), RandomStream(seed, "mac"),
+        sim, from_points(positions, tx_radius=cfg.tx_radius, require_connected=False),
+        cfg, ledger, RandomStream(seed, "radio"), RandomStream(seed, "mac"),
         deliver=lambda node, frame: log["delivered"].append((node, frame)),
         on_undelivered=lambda frame, dead: log["undelivered"].append((frame, dead)),
         on_mac_drop=lambda frame, reason: log["dropped"].append((frame, reason)),

@@ -53,10 +53,16 @@ def connected_points(draw):
     return [(x - x0, y - y0) for x, y in points]
 
 
+def reference_medium(sim, topology, *args, **kwargs):
+    """The reference medium, which takes node positions, built from the
+    topology that the production medium takes."""
+    return radio_reference.Medium(sim, topology.positions, *args, **kwargs)
+
+
 def both_media(cfg, topology=None):
     """The cell's result on the production medium, then on the reference."""
     production = run_single(cfg, topology)
-    with mock.patch("antwsn.simulation.Medium", radio_reference.Medium):
+    with mock.patch("antwsn.simulation.Medium", reference_medium):
         return production, run_single(cfg, topology)
 
 
