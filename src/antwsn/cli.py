@@ -99,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--plan", required=True, help="plan file (key = value)")
     p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.add_argument("--parallel", type=int, default=0,
-                         help="worker processes (>1 enables the pool)")
+                         help="worker processes (>1 enables the pool; "
+                              "capped at the plan's cell count)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_dump = sub.add_parser("dump-table",

@@ -210,17 +210,21 @@ def _csv_value(value):
 
 
 def run_experiment(plan: ExperimentPlan, parallel: int = 0) -> ResultTable:
-    """Execute every cell of the plan; `parallel` > 1 uses a process pool.
+    """Execute every cell of the plan; `parallel` > 1 uses a process pool of
+    at most one worker per cell, and a pool of one runs serially.
 
     Output is byte-identical regardless of worker count: cells are keyed and
     re-assembled in plan order after completion.
     """
     cells = plan.cells()
     configs = [plan.cell_config(*cell) for cell in cells]
-    if parallel and parallel > 1:
+    # A forked pool starts all its workers at the first submit, so more
+    # workers than cells would only be processes that never get work.
+    workers = min(parallel, len(cells))
+    if workers > 1:
         # Imported here: the pool's import costs every `import antwsn` ~20 ms.
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = dict(zip(cells, pool.map(run_single, configs)))
     else:
         results = dict(zip(cells, map(run_single, configs)))

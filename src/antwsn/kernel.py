@@ -39,9 +39,10 @@ class SimEvent:
 class Simulator:
     """Single-threaded event loop with a never-decreasing virtual clock.
 
-    Handlers are registered per event kind with ``on``. An optional ``trace``
-    (any object with an ``update(bytes)`` method, e.g. hashlib) receives one
-    line per dispatched event, which makes run-to-run determinism checkable.
+    Handlers are registered per event kind with ``on``. ``trace`` receives
+    one line per dispatched event, which makes run-to-run determinism
+    checkable. It is a SHA-256 hash unless a test swaps in another object
+    with an ``update(bytes)`` method.
     """
 
     def __init__(self):
@@ -49,7 +50,7 @@ class Simulator:
         self._seq = 0
         self._heap = []
         self._handlers = {}
-        self.trace = None
+        self.trace = hashlib.sha256()
         self.dispatched = 0
 
     def now(self):
@@ -81,7 +82,7 @@ class Simulator:
         heap = self._heap
         handler_for = self._handlers.get
         pop = heapq.heappop
-        update = self.trace.update if self.trace is not None else None
+        update = self.trace.update
         dispatched = self.dispatched
         last_time = last_text = None
         try:
@@ -90,10 +91,9 @@ class Simulator:
                 self._now = time
                 if ev.cancelled:
                     continue
-                if update is not None:
-                    if time != last_time or not time or type(time) is not type(last_time):
-                        last_time, last_text = time, repr(time)
-                    update(f"{last_text} {seq} {ev.kind}\n".encode())
+                if time != last_time or not time or type(time) is not type(last_time):
+                    last_time, last_text = time, repr(time)
+                update(f"{last_text} {seq} {ev.kind}\n".encode())
                 dispatched += 1
                 handler = handler_for(ev.kind)
                 if handler is not None:

@@ -1,7 +1,7 @@
 """Protocol registry: six ant-routing strategies behind one interface."""
 
 from .babr import BABR, PathReinforceProtocol, reinforce, reinforcement_factor
-from .base import DataPacket, Protocol, SINK
+from .base import DataPacket, Protocol
 from .eeabr import (EEABR, evaporate_deposit, selection_weights, trail_deposit,
                     visibility)
 from .ff import FF, should_broadcast

@@ -1,8 +1,11 @@
 """Shared protocol scaffolding.
 
-A protocol instance owns the routing state of every node in one run and
-reacts to the simulation's hooks below: data generated at a node, a frame
-delivered by the radio or lost, an ant-launch tick, a sink move. Concrete
+A protocol instance owns the routing state of every node in one run. It is
+built once the topology and the first sink node are known, and sets its
+tables up in `__init__`; there is no separate start-up hook. It then reacts
+to the simulation's hooks: `on_data_generated`, `on_frame_received`,
+`on_frame_lost`, `on_sink_changed`, and `launch_ant`, the periodic
+ant-launch tick, which only protocols with `launches_ants` define. Concrete
 subclasses define table semantics and the ant lifecycle; data-packet
 plumbing lives here. Timers are not a hook: the flood protocols (FF and its
 subclass FP) are the only ones that set any, and FF registers its own
@@ -23,7 +26,6 @@ from dataclasses import dataclass
 
 from ..radio import BROADCAST, DATA, FORWARD_ANT, Frame
 from ..routing import PHEROMONE, PROBABILITY, RoutingError, RoutingTable
-from ..routing import SINK  # noqa: F401  (re-exported)
 
 
 @dataclass
@@ -55,15 +57,8 @@ class Protocol:
 
     # -- lifecycle hooks (simulation calls these) -------------------------
 
-    def start(self):
-        """Called once at t=0 after the network is wired."""
-
-    def launch_ant(self, node: int):
-        """Periodic ant-launch tick for `node`, which is never the sink;
-        no-op for antless protocols."""
-
-    def on_sink_changed(self, old_node: int, new_node: int):
-        pass
+    def on_sink_changed(self, new_node: int):
+        """The sink moved to `new_node`."""
 
     def on_frame_lost(self, frame: Frame, dst_dead: bool):
         """A frame died in the MAC or was never received by its addressee;

@@ -79,11 +79,9 @@ class IEEABR(EEABR):
     def __init__(self, sim):
         super().__init__(sim)
         self.quota = AntQuota(self.cfg.ant_cap_multiplier * sim.topology.n)
+        self._prime_sink_columns(sim.sink_node)
 
-    def start(self):
-        self._prime_sink_columns(self.sim.sink_node)
-
-    def on_sink_changed(self, old_node: int, new_node: int):
+    def on_sink_changed(self, new_node: int):
         self._prime_sink_columns(new_node)
 
     def _prime_sink_columns(self, sink_node: int):

@@ -1,7 +1,8 @@
 """Sensor-driven variant of basic ant routing: nodes are assumed to know
 their geometric distance to the sink, so selection probabilities start from
-a distance gradient instead of uniform. Computed once at startup; a sink
-that later moves leaves the gradient stale on purpose.
+a distance gradient instead of uniform. Computed once, when the protocol is
+built around the first sink node; a sink that later moves leaves the
+gradient stale on purpose.
 """
 
 import math
@@ -30,14 +31,15 @@ def initial_distribution(q_costs, local_costs, sc_beta: float) -> list:
 class SC(PathReinforceProtocol):
     name = "sc"
 
-    def start(self):
-        sim = self.sim
-        sink_pos = sim.topology.positions[sim.sink_node]
+    def __init__(self, sim):
+        super().__init__(sim)
+        positions = sim.topology.positions
+        sink_pos = positions[sim.sink_node]
         radius = sim.topology.tx_radius
         for node, table in self.tables.items():
             if node == sim.sink_node:
                 continue
-            q = [float(math.hypot(*(sim.topology.positions[n] - sink_pos))) / radius
+            q = [float(math.hypot(*(positions[n] - sink_pos))) / radius
                  for n in table.neighbors]
             col = initial_distribution(q, [1.0] * len(q), self.cfg.sc_beta)
             table.set_column(col)

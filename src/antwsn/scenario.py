@@ -66,12 +66,12 @@ def _connected(neighbors: list) -> bool:
     return len(seen) == n
 
 
-def from_points(points, tx_radius: float = 35.0, side: float | None = None,
+def from_points(points, tx_radius: float = 35.0,
                 require_connected: bool = True) -> Topology:
-    """Topology from explicit coordinates; handy for hand-built fixtures."""
+    """Topology from explicit coordinates; handy for hand-built fixtures.
+    Its side is the largest coordinate."""
     pos = np.asarray(points, dtype=float)
-    if side is None:
-        side = float(pos.max()) if pos.size else 0.0
+    side = float(pos.max()) if pos.size else 0.0
     top = Topology(positions=pos, side=side, tx_radius=tx_radius)
     if require_connected and not _connected(top.neighbors):
         raise TopologyError("point set is not connected at this radio range")

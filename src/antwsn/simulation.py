@@ -3,7 +3,6 @@ topology, traffic, sink placement (fixed or orbiting), and the selected
 protocol together, then reports metrics and diagnostics.
 """
 
-import hashlib
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
@@ -67,8 +66,6 @@ class Simulation:
     def __init__(self, cfg: SimConfig, topology: Topology | None = None):
         self.cfg = cfg
         self.kernel = Simulator()
-        self._trace = hashlib.sha256()
-        self.kernel.trace = self._trace
         self.rng = _Streams(cfg.seed)
         self.counters = Counter()
         self.metrics = RunMetrics()
@@ -167,10 +164,9 @@ class Simulation:
             pos = self.trajectory.position(ev.time)
             new = self.topology.nearest_node(pos, alive)
             if new != self.sink_node:
-                old = self.sink_node
                 self.sink_node = new
                 self.count("sink_rebinds")
-                self.protocol.on_sink_changed(old, new)
+                self.protocol.on_sink_changed(new)
         self.kernel.schedule(ev.time + self.cfg.sink_update_period, kernel.SINK_MOVE)
 
     # -- medium callbacks ---------------------------------------------------
@@ -196,8 +192,8 @@ class Simulation:
     def new_ant_uid(self) -> int:
         return next(self._ant_uids)
 
-    def count(self, name: str, amount: int = 1):
-        self.counters[name] += amount
+    def count(self, name: str):
+        self.counters[name] += 1
 
     def record_delivered(self, created_at: float, now: float):
         self.metrics.record_delivered(created_at, now)
@@ -206,7 +202,6 @@ class Simulation:
 
     def run(self) -> RunResult:
         cfg = self.cfg
-        self.protocol.start()
         self.kernel.run_until(cfg.duration)
         self.medium.settle_all_idle()
 
@@ -238,7 +233,7 @@ class Simulation:
             max_live_forward_ants=quota.max_live if quota is not None else None,
             counters=dict(self.counters),
             residuals=list(self.ledger.residual),
-            trace_sha256=self._trace.hexdigest(),
+            trace_sha256=self.kernel.trace.hexdigest(),
             dispatched_events=self.kernel.dispatched,
         )
         self._release()

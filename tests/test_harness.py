@@ -1,6 +1,7 @@
 """Experiment grids: per-cell seeding, table assembly, exports, plan files,
 and serial/parallel equivalence."""
 
+import concurrent.futures
 import json
 import statistics
 
@@ -173,6 +174,44 @@ class TestParallelEquivalence:
     def test_repeat_serial_run_is_identical(self, small_table):
         again = run_experiment(ExperimentPlan(**SMALL))
         assert again.to_csv() == small_table.to_csv()
+
+
+class TestPoolSize:
+    """The pool is sized by a stand-in executor that records its worker
+    count and maps in this process, so no test here starts a process."""
+
+    TINY = dict(protocols=("babr",), node_counts=(9,), scenarios=("static",),
+                base_seed=5, overrides={"duration": 2.0, "layout": "grid"})
+
+    @pytest.fixture
+    def requested(self, monkeypatch):
+        requested = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        return requested
+
+    def test_pool_is_capped_at_the_cell_count(self, requested):
+        plan = ExperimentPlan(replicates=2, **self.TINY)
+        pooled = run_experiment(plan, parallel=64)
+        assert requested == [2]
+        assert pooled.to_csv() == run_experiment(plan).to_csv()
+
+    def test_one_cell_runs_serially(self, requested):
+        run_experiment(ExperimentPlan(replicates=1, **self.TINY), parallel=2)
+        assert requested == []
 
 
 class TestPlanFiles:

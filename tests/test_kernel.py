@@ -91,7 +91,6 @@ class TestSimulator:
     def test_trace_reflects_dispatch_sequence(self):
         def run(times):
             sim = Simulator()
-            sim.trace = hashlib.sha256()
             sim.on("x", lambda ev: None)
             for t in times:
                 sim.schedule(t, "x")
@@ -100,6 +99,8 @@ class TestSimulator:
 
         assert run([1.0, 2.0]) == run([1.0, 2.0])
         assert run([1.0, 2.0]) != run([2.0, 1.0])  # sequence numbers differ
+        # A new simulator hashes its trace lines with SHA-256.
+        assert run([1.0, 2.0]) == hashlib.sha256(b"1.0 0 x\n2.0 1 x\n").hexdigest()
 
     def test_trace_lines_match_a_per_event_repr(self):
         # Equal times print alike only when they are nonzero and of one

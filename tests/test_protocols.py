@@ -2,6 +2,7 @@
 discipline, loop kills, table priming, and the data pipeline."""
 
 import dataclasses
+import math
 
 import pytest
 from conftest import build_sim
@@ -38,7 +39,6 @@ def log_sends(sim):
 class TestBasicAntTrace:
     def test_single_ant_round_trip(self):
         sim = build_sim("babr", LINE3, sink=2)
-        sim.protocol.start()
         sim.protocol.launch_ant(0)
         sim.kernel.run_until(5.0)
         c = sim.counters
@@ -55,7 +55,6 @@ class TestBasicAntTrace:
 
     def test_dead_end_destroys_ant(self):
         sim = build_sim("babr", LINE3, sink=2)
-        sim.protocol.start()
         ant = Ant(uid=sim.new_ant_uid())
         ant.visit(2, 0.0)
         ant.visit(0, 0.0)
@@ -69,7 +68,6 @@ class TestSensorGradient:
     def test_startup_bias_toward_the_sink(self):
         import math
         sim = build_sim("sc", LINE3, sink=2)
-        sim.protocol.start()
         mid = sim.protocol.tables[1]
         q0, q2 = 40 / 35, 0.0
         best = 1.0 + min(q0, q2)
@@ -85,7 +83,6 @@ class TestFloodDiscipline:
     def test_each_node_broadcasts_an_ant_at_most_once(self):
         sim = build_sim("ff", LINE5, sink=4)
         sent = log_sends(sim)
-        sim.protocol.start()
         sim.protocol.launch_ant(0)
         sim.kernel.run_until(5.0)
         uid = next(f.payload["ant"].uid for f in sent if f.kind == FORWARD_ANT)
@@ -102,7 +99,6 @@ class TestFloodDiscipline:
     def test_node_dead_at_its_rebroadcast_timer_airs_nothing(self):
         sim = build_sim("ff", LINE3, sink=2)
         sent = log_sends(sim)
-        sim.protocol.start()
         ant = Ant(uid=sim.new_ant_uid())
         ant.visit(0, 0.0)
         frame = Frame(src=0, dst=BROADCAST, kind=FORWARD_ANT,
@@ -119,7 +115,6 @@ class TestFloodDiscipline:
 
     def test_first_sight_overrides_suppression(self):
         sim = build_sim("ff", LINE3, sink=2)
-        sim.protocol.start()
         proto = sim.protocol
         assert proto._want_rebroadcast(1, 0) is True      # no opinion yet
         proto._reinforced.add(1)
@@ -135,7 +130,6 @@ class TestFloodedData:
     def test_chain_delivery_reinforces_the_path(self):
         sim = build_sim("fp", LINE3, sink=2)
         sent = log_sends(sim)
-        sim.protocol.start()
         sim.kernel.schedule(0.5, kernel.DATA_GENERATION, 0)
         sim.kernel.run_until(5.0)
         assert sim.metrics.generated == 1
@@ -246,10 +240,28 @@ class TestPheromoneSelection:
             assert sim.protocol.data_next_hop(1, arrived_from=0) == 2
 
 
+class TestPrimingAtConstruction:
+    # Node 1's column toward neighbours (0, 2) on LINE3 with the sink on 2.
+    MID_COLUMNS = {
+        "babr": [1 / 2, 1 / 2],                     # uniform probabilities
+        "eeabr": [1 / 3, 1 / 3],                    # fresh mass 1/n each
+        "sc": [1 / (1 + math.exp(40 / 35)), 1 / (1 + math.exp(-40 / 35))],
+        "ieeabr": [2 / 3 * 3 / 16, 2 / 3 * 13 / 16],
+    }
+
+    @pytest.mark.parametrize("protocol", MID_COLUMNS)
+    def test_built_simulation_holds_its_start_up_columns(self, protocol):
+        # sc's distance gradient and ieeabr's sink-adjacent split are set up
+        # when the protocol is built, before any event runs.
+        sim = build_sim(protocol, LINE3, sink=2)
+        assert sim.kernel.dispatched == 0 and sim.now == 0.0
+        assert sim.protocol.tables[1].neighbors == [0, 2]
+        assert sim.protocol.tables[1].column == pytest.approx(self.MID_COLUMNS[protocol])
+
+
 class TestSmartPriming:
     def test_sink_neighbors_concentrate_mass(self):
         sim = build_sim("ieeabr", LINE3, sink=2)
-        sim.protocol.start()
         mid = sim.protocol.tables[1]
         col_sum = mid.get(0) + mid.get(2)
         # the split fixes the odds; the scale matches an unprimed column
@@ -260,8 +272,7 @@ class TestSmartPriming:
 
     def test_repriming_follows_the_sink(self):
         sim = build_sim("ieeabr", LINE3, sink=2)
-        sim.protocol.start()
-        sim.protocol.on_sink_changed(2, 0)
+        sim.protocol.on_sink_changed(0)
         mid = sim.protocol.tables[1]
         assert mid.get(0) / mid.get(2) == pytest.approx(13 / 3)
 
@@ -271,7 +282,6 @@ class TestSmartPriming:
 
     def test_dead_next_hop_redistributes_mass(self):
         sim = build_sim("ieeabr", LINE3, sink=2)
-        sim.protocol.start()
         mid = sim.protocol.tables[1]
         before = sum(mid.column)
         frame = Frame(src=1, dst=2, kind=DATA, size_bits=400, payload=None)
@@ -282,7 +292,6 @@ class TestSmartPriming:
 
     def test_live_loss_does_not_redistribute(self):
         sim = build_sim("ieeabr", LINE3, sink=2)
-        sim.protocol.start()
         mid = sim.protocol.tables[1]
         col = list(mid.column)
         frame = Frame(src=1, dst=2, kind=DATA, size_bits=400, payload=None)
@@ -293,7 +302,6 @@ class TestSmartPriming:
 class TestDataPipeline:
     def test_sink_generation_is_instant_delivery(self):
         sim = build_sim("babr", LINE3, sink=2)
-        sim.protocol.start()
         sim.kernel.schedule(1.0, kernel.DATA_GENERATION, 2)
         sim.kernel.run_until(2.0)
         assert sim.metrics.generated == 1
@@ -366,7 +374,6 @@ class TestDataPipeline:
 
     def test_end_to_end_unicast_delivery(self):
         sim = build_sim("babr", LINE3, sink=2)
-        sim.protocol.start()
         sim.kernel.schedule(0.5, kernel.DATA_GENERATION, 1)
         sim.kernel.run_until(5.0)
         # node 1 relays stochastically but the line admits only 0 or 2;
