@@ -62,6 +62,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.parallel < 0:
+        raise ConfigError(f"--parallel must be >= 0, got {args.parallel}")
     plan = load_plan(args.plan)
     table = run_experiment(plan, parallel=args.parallel)
     written = table.write(args.out)
@@ -99,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--plan", required=True, help="plan file (key = value)")
     p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.add_argument("--parallel", type=int, default=0,
-                         help="worker processes (>1 enables the pool; "
+                         help="worker processes, >= 0 (>1 enables the pool; "
                               "capped at the plan's cell count)")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -71,7 +71,7 @@ class PathReinforceProtocol(Protocol):
         except RoutingError:
             sim.count("fwd_ants_dead_end")
             return
-        sim.send_frame(node, nxt, FORWARD_ANT, self.cfg.ant_bits, {"ant": ant})
+        sim.send_frame(node, nxt, FORWARD_ANT, {"ant": ant})
 
     def _on_forward_ant(self, node: int, frame):
         sim = self.sim
@@ -90,7 +90,7 @@ class PathReinforceProtocol(Protocol):
         if pos < 0:
             return
         self.sim.send_frame(sink_node, ant.path[pos][0], BACKWARD_ANT,
-                            self.cfg.ant_bits, {"ant": ant, "pos": pos})
+                            {"ant": ant, "pos": pos})
 
     def _on_backward_ant(self, node: int, frame):
         sim = self.sim
@@ -100,7 +100,7 @@ class PathReinforceProtocol(Protocol):
                                   trip=ant.path[-1][1] - ant.path[pos][1])
         if pos > 0:
             sim.send_frame(node, ant.path[pos - 1][0], BACKWARD_ANT,
-                           self.cfg.ant_bits, {"ant": ant, "pos": pos - 1})
+                           {"ant": ant, "pos": pos - 1})
         else:
             sim.count("bwd_ants_completed")
 

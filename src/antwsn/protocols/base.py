@@ -7,9 +7,10 @@ to the simulation's hooks: `on_data_generated`, `on_frame_received`,
 `on_frame_lost`, `on_sink_changed`, and `launch_ant`, the periodic
 ant-launch tick, which only protocols with `launches_ants` define. Concrete
 subclasses define table semantics and the ant lifecycle; data-packet
-plumbing lives here. Timers are not a hook: the flood protocols (FF and its
-subclass FP) are the only ones that set any, and FF registers its own
-PROTO_TIMER handler with the kernel.
+plumbing lives here. A protocol airs a frame through `sim.send_frame` with a
+kind and a payload; the run sizes the frame from its kind. Timers are not a
+hook: the flood protocols (FF and its subclass FP) are the only ones that
+set any, and FF registers its own PROTO_TIMER handler with the kernel.
 
 The radio hands every node that heard a frame to `on_frame_received`,
 including the nodes that overheard a unicast addressed to another node.
@@ -25,7 +26,7 @@ them. Only the flood protocols air broadcasts, so only they define
 from dataclasses import dataclass
 
 from ..radio import BROADCAST, DATA, FORWARD_ANT, Frame
-from ..routing import PHEROMONE, PROBABILITY, RoutingError, RoutingTable
+from ..routing import PHEROMONE, PROBABILITY, RoutingTable
 
 
 @dataclass
@@ -116,17 +117,13 @@ class Protocol:
             sim.count("data_ttl_expired")
             return
         packet.ttl -= 1
-        nxt = self.data_next_hop(node, arrived_from)
-        if nxt is None:
-            sim.count("data_no_route")
-            return
-        sim.send_frame(node, nxt, DATA, self.cfg.data_bits, {"packet": packet})
+        sim.send_frame(node, self.data_next_hop(node, arrived_from), DATA,
+                       {"packet": packet})
 
     def data_next_hop(self, node: int, arrived_from):
-        """Pick the next relay toward the sink; None when the node is stuck."""
+        """Pick the next relay toward the sink. One always exists: every
+        column write passes `normalize_check`, and a lax `sample` falls back
+        to the whole column."""
         exclude = () if arrived_from is None else (arrived_from,)
-        try:
-            return self.tables[node].sample(self.sim.rng.protocol.uniform(),
-                                            exclude=exclude)
-        except RoutingError:
-            return None
+        return self.tables[node].sample(self.sim.rng.protocol.uniform(),
+                                        exclude=exclude)

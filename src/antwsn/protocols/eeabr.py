@@ -129,7 +129,7 @@ class EEABR(Protocol):
             self._ant_died(ant)
             dtau = trail_deposit(self.cfg.energy_budget, ant.e_min, ant.e_avg,
                                  len(ant.path), self.cfg.dtau_max)
-            sim.send_frame(node, previous, BACKWARD_ANT, self.cfg.ant_bits,
+            sim.send_frame(node, previous, BACKWARD_ANT,
                            {"uid": ant.uid, "dtau": dtau, "bd": 1})
             return
         nxt = self._pick_next(node, [n for n, _ in ant.path[-2:]])
@@ -140,7 +140,7 @@ class EEABR(Protocol):
         if previous < 0:
             sim.count("fwd_ants_launched")
         self.caches[node].remember(ant.uid, previous, sim.now)
-        sim.send_frame(node, nxt, FORWARD_ANT, self.cfg.ant_bits, {"ant": ant})
+        sim.send_frame(node, nxt, FORWARD_ANT, {"ant": ant})
 
     # -- backward ants -------------------------------------------------------
 
@@ -162,7 +162,7 @@ class EEABR(Protocol):
         if previous < 0:
             sim.count("bwd_ants_completed")
             return
-        sim.send_frame(node, previous, BACKWARD_ANT, self.cfg.ant_bits,
+        sim.send_frame(node, previous, BACKWARD_ANT,
                        {"uid": uid, "dtau": frame.payload["dtau"],
                         "bd": frame.payload["bd"] + 1})
 

@@ -35,14 +35,19 @@ class FF(PathReinforceProtocol):
         sim.kernel.on(PROTO_TIMER, self.on_timer)
 
     def launch_ant(self, node: int):
+        self.sim.count("fwd_ants_launched")
+        self._flood(node, FORWARD_ANT, {})
+
+    # -- flood machinery (shared with the data-ant protocol) ----------------
+
+    def _flood(self, node: int, kind: str, payload: dict):
+        """Start a flood at `node`: a new ant, seen there first, broadcast
+        with `payload`."""
         sim = self.sim
         ant = Ant(uid=sim.new_ant_uid())
         ant.visit(node, sim.now)
         self._first_sight(node, ant.uid)
-        sim.count("fwd_ants_launched")
-        sim.send_frame(node, BROADCAST, FORWARD_ANT, self.cfg.ant_bits, {"ant": ant})
-
-    # -- flood machinery (shared with the data-ant protocol) ----------------
+        sim.send_frame(node, BROADCAST, kind, {**payload, "ant": ant})
 
     def _on_flood_frame(self, node: int, frame):
         sim = self.sim
@@ -87,22 +92,15 @@ class FF(PathReinforceProtocol):
         p = table.get(sender) if sender in table.index else 0.0
         return should_broadcast(p, len(table.neighbors))
 
-    def _flood_bits(self, kind: str) -> int:
-        # A flooded data ant hauls the payload plus the visited-node list.
-        if kind == FORWARD_ANT:
-            return self.cfg.ant_bits
-        return self.cfg.data_bits + self.cfg.ant_bits
-
     def on_timer(self, ev):
         """PROTO_TIMER handler. The only timer a flood protocol sets is a
-        scheduled rebroadcast; a node that died since scheduling airs
-        nothing, and its entry stays in `_pending`."""
+        scheduled rebroadcast; its `_pending` entry goes either way, and a
+        node that died since scheduling airs nothing."""
         node, kind, payload = ev.payload
         sim = self.sim
-        if not sim.ledger.alive(node):
-            return
         self._pending.pop((node, payload["ant"].uid), None)
-        sim.send_frame(node, BROADCAST, kind, self._flood_bits(kind), payload)
+        if sim.ledger.alive(node):
+            sim.send_frame(node, BROADCAST, kind, payload)
 
     def _apply_reinforcement(self, node: int, came_from: int, trip: float):
         super()._apply_reinforcement(node, came_from, trip)

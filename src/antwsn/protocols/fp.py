@@ -6,8 +6,7 @@ each packet rides exactly one flood, so the flood ant's uid, which every
 fork keeps, names the packet at the sink.
 """
 
-from ..radio import BROADCAST, DATA_ANT
-from ..routing import Ant
+from ..radio import DATA_ANT
 from .ff import FF
 
 
@@ -21,14 +20,8 @@ class FP(FF):
 
     def on_data_generated(self, node: int):
         packet = self._new_packet(node)
-        if packet is None:
-            return
-        sim = self.sim
-        ant = Ant(uid=sim.new_ant_uid())
-        ant.visit(node, sim.now)
-        self._first_sight(node, ant.uid)
-        sim.send_frame(node, BROADCAST, DATA_ANT, self._flood_bits(DATA_ANT),
-                       {"packet": packet, "ant": ant})
+        if packet is not None:
+            self._flood(node, DATA_ANT, {"packet": packet})
 
     def _flood_at_sink(self, node: int, frame):
         sim = self.sim

@@ -5,7 +5,6 @@ redistribution when a next-hop neighbor turns out to be dead.
 
 from fractions import Fraction
 
-from ..radio import BROADCAST
 from ..routing import Ant
 from .eeabr import EEABR
 
@@ -112,7 +111,7 @@ class IEEABR(EEABR):
 
     def on_frame_lost(self, frame, dst_dead: bool):
         super().on_frame_lost(frame, dst_dead)
-        if not dst_dead or frame.dst == BROADCAST:
+        if not dst_dead:
             return
         table = self.tables[frame.src]
         if frame.dst not in table.index:

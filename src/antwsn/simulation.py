@@ -12,7 +12,7 @@ from .config import ConfigError, SimConfig
 from .kernel import RandomStream, Simulator
 from .metrics import RunMetrics
 from .protocols import make_protocol
-from .radio import EnergyLedger, Frame, Medium
+from .radio import BACKWARD_ANT, DATA, DATA_ANT, FORWARD_ANT, EnergyLedger, Frame, Medium
 from .scenario import (Topology, make_grid, make_random_square, make_trajectory,
                        traffic_schedule)
 
@@ -70,6 +70,10 @@ class Simulation:
         self.counters = Counter()
         self.metrics = RunMetrics()
         self._ant_uids = itertools.count(1)
+        ant, data = cfg.ant_bits, cfg.data_bits
+        # A flooded data ant hauls the payload plus the visited-node list.
+        self._frame_bits = {FORWARD_ANT: ant, BACKWARD_ANT: ant,
+                            DATA: data, DATA_ANT: data + ant}
 
         if topology is None:
             topology = self._build_topology()
@@ -78,6 +82,9 @@ class Simulation:
             # while the default rx_threshold uses the config's radius.
             raise ConfigError(f"topology tx_radius {topology.tx_radius!r} differs from "
                               f"config tx_radius {cfg.tx_radius!r}")
+        elif topology.n != cfg.nodes:
+            # The config's hop budget was validated for cfg.nodes.
+            raise ConfigError(f"topology has {topology.n} nodes, config nodes is {cfg.nodes}")
         self.topology = topology
         self._bind_sink()
 
@@ -185,9 +192,10 @@ class Simulation:
     def now(self) -> float:
         return self.kernel.now()
 
-    def send_frame(self, src: int, dst: int, kind: str, size_bits: int, payload):
+    def send_frame(self, src: int, dst: int, kind: str, payload):
+        """Air a frame of `kind`; its size is the kind's, set once per run."""
         self.medium.send(Frame(src=src, dst=dst, kind=kind,
-                               size_bits=size_bits, payload=payload))
+                               size_bits=self._frame_bits[kind], payload=payload))
 
     def new_ant_uid(self) -> int:
         return next(self._ant_uids)

@@ -183,6 +183,18 @@ class TestSweep:
         assert out == ""
         assert not out_dir.exists()
 
+    def test_negative_parallel_is_a_config_error(self, capsys, tmp_path):
+        plan = tmp_path / "tiny.plan"
+        plan.write_text("protocols = babr\nnodes = 9\nreplicates = 1\n"
+                        "duration = 2\nlayout = grid\n")
+        out_dir = tmp_path / "sweepout"
+        code, out, err = run_cli(capsys, "sweep", "--plan", str(plan),
+                                 "--out", str(out_dir), "--parallel", "-3")
+        assert code == 1
+        assert "config error: --parallel must be >= 0" in err
+        assert out == ""
+        assert not out_dir.exists()
+
     def test_missing_plan_file(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--plan", "/no/plan",
                                "--out", "/tmp/unused-sweep-out")

@@ -111,7 +111,7 @@ class TestFloodDiscipline:
         assert sim.kernel.dispatched == 1      # the timer fired
         assert sent == [] and sim.medium.frames_sent == 0
         assert sim.counters["mac_drop_dead"] == 0
-        assert key in sim.protocol._pending    # checked before the pop
+        assert sim.protocol._pending == {}     # popped though nothing aired
 
     def test_first_sight_overrides_suppression(self):
         sim = build_sim("ff", LINE3, sink=2)
@@ -121,9 +121,22 @@ class TestFloodDiscipline:
         assert proto._want_rebroadcast(1, 0) is False     # uniform: 0.5 == 1/2
         assert proto._want_rebroadcast(1, 99) is True     # unknown sender, p = 0
 
-    def test_flood_frames_have_control_size(self):
-        sim = build_sim("ff", LINE3, sink=2)
-        assert sim.protocol._flood_bits(FORWARD_ANT) == sim.cfg.ant_bits
+
+class TestFrameSizes:
+    # 20-byte ants, 50-byte data, and a flooded data ant hauling both.
+    BITS = {FORWARD_ANT: 160, BACKWARD_ANT: 160, DATA: 400, DATA_ANT: 560}
+    KINDS = {"fp": {DATA_ANT, BACKWARD_ANT}}
+
+    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+    def test_every_frame_has_its_kinds_size(self, protocol):
+        cfg = SimConfig(protocol=protocol, nodes=9, layout="grid", duration=10.0,
+                        ant_interval=0.5, seed=3)
+        sim = Simulation(cfg)
+        sent = log_sends(sim)
+        sim.run()
+        assert {f.kind for f in sent} == self.KINDS.get(
+            protocol, {FORWARD_ANT, BACKWARD_ANT, DATA})
+        assert all(f.size_bits == self.BITS[f.kind] for f in sent)
 
 
 class TestFloodedData:
@@ -314,6 +327,14 @@ class TestDataPipeline:
         sim.protocol.forward_data(0, packet, arrived_from=None)
         assert sim.counters["data_ttl_expired"] == 1
 
+    def test_column_without_weight_raises(self):
+        # Every write to a column keeps it normalized; one with no weight is
+        # a bug, reported as such rather than counted as a dropped packet.
+        sim = build_sim("babr", LINE3, sink=2)
+        sim.protocol.tables[0].column = [0.0]
+        with pytest.raises(RoutingError, match="no positive weight"):
+            sim.protocol.on_data_generated(0)
+
     @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
     def test_isolated_node_fails_at_construction(self, protocol):
         points = LINE3 + [(500, 500)]
@@ -330,6 +351,14 @@ class TestDataPipeline:
         with pytest.raises(ConfigError, match=r"topology tx_radius 20\.0 .* config tx_radius 35\.0"):
             Simulation(cfg, from_points(points, tx_radius=20.0))
         Simulation(dataclasses.replace(cfg, tx_radius=20.0), from_points(points, tx_radius=20.0))
+
+    def test_topology_node_count_must_match_config(self):
+        # The hop budget is validated for cfg.nodes: 0.1 * 10 gives 1 hop, but
+        # on this 5-node line every packet would get int(0.1 * 5) = 0.
+        points = [(20.0 * i, 0.0) for i in range(5)]
+        cfg = SimConfig(protocol="babr", nodes=10, data_ttl_factor=0.1, duration=20.0)
+        with pytest.raises(ConfigError, match=r"topology has 5 nodes, config nodes is 10"):
+            Simulation(cfg, from_points(points))
 
     def test_overheard_unicast_is_ignored(self):
         sim = build_sim("babr", LINE3, sink=2)

@@ -51,12 +51,12 @@ class DedupModel:
             else:
                 self.duplicates += 1
 
-        def send_frame(src, dst, kind, size_bits, payload):
+        def send_frame(src, dst, kind, payload):
             if kind in FLOOD_KINDS:   # a launch, or a rebroadcast of a seen uid
                 uid = payload["ant"].uid
                 self.flooded.add(uid)
                 self.seen[src].add(uid)
-            send(src, dst, kind, size_bits, payload)
+            send(src, dst, kind, payload)
 
         proto._on_flood_frame = on_flood_frame
         proto._want_rebroadcast = want_rebroadcast
