@@ -13,7 +13,8 @@ import sys
 import traceback
 from pathlib import Path
 
-from .config import ConfigError, SimConfig, config_from_mapping, parse_kv_text
+from .config import (ConfigError, SimConfig, config_from_mapping, parse_kv_text,
+                     read_text)
 from .harness import csv_text, load_plan, result_row, run_experiment
 from .scenario import TopologyError
 from .simulation import Simulation
@@ -31,16 +32,26 @@ def _add_scenario_flags(p):
 
 def _build_config(args) -> SimConfig:
     """The config file's keys with the flags laid over them, validated once."""
-    text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
-    mapping = parse_kv_text(text)
+    mapping = parse_kv_text(read_text(args.config) if args.config else "")
     mapping.update({k: getattr(args, k) for k in
                     ("protocol", "nodes", "scenario", "layout", "seed", "duration")
                     if getattr(args, k) is not None})
     return config_from_mapping(mapping)
 
 
+def _make_outdir(path) -> Path:
+    """Create `--out` before any run, so an unusable one costs no run time."""
+    outdir = Path(path)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from None
+    return outdir
+
+
 def _cmd_run(args) -> int:
     cfg = _build_config(args)
+    outdir = _make_outdir(args.out) if args.out else None
     result = Simulation(cfg).run()
     if args.json:
         print(json.dumps(dataclasses.asdict(result), indent=2))
@@ -52,12 +63,10 @@ def _cmd_run(args) -> int:
               f"success_rate={result.success_rate_pct:.2f}%")
         print(f"latency={latency} energy={result.energy_j:.4f} J "
               f"efficiency={result.efficiency_kbit_per_j:.4f} kbit/J")
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+    if outdir is not None:
         path = outdir / "run.csv"
         path.write_text(csv_text([result_row(result, replicate=1)]), encoding="utf-8")
-        print(f"wrote {path}")
+        print(f"wrote {path}", file=sys.stderr if args.json else sys.stdout)
     return 0
 
 
@@ -65,8 +74,9 @@ def _cmd_sweep(args) -> int:
     if args.parallel < 0:
         raise ConfigError(f"--parallel must be >= 0, got {args.parallel}")
     plan = load_plan(args.plan)
+    outdir = _make_outdir(args.out)
     table = run_experiment(plan, parallel=args.parallel)
-    written = table.write(args.out)
+    written = table.write(outdir)
     for path in written:
         print(f"wrote {path}")
     return 0
@@ -123,7 +133,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (TopologyError, OSError) as exc:

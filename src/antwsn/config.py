@@ -5,7 +5,7 @@ Unknown keys are rejected so a typo can never silently fall back to a default.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 PROTOCOL_NAMES = ("babr", "sc", "ff", "fp", "eeabr", "ieeabr")
 LAYOUTS = ("grid", "random-square")
@@ -219,6 +219,14 @@ def config_from_mapping(mapping: dict) -> SimConfig:
     return SimConfig(**values)
 
 
+def read_text(path) -> str:
+    """A config or plan file's UTF-8 text, or a ConfigError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+
+
 def load_config(path: str) -> SimConfig:
-    with open(path, encoding="utf-8") as fh:
-        return config_from_mapping(parse_kv_text(fh.read()))
+    return config_from_mapping(parse_kv_text(read_text(path)))

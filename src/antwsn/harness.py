@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .config import (ConfigError, PROTOCOL_NAMES, SimConfig, _convert,
-                     config_from_mapping, parse_kv_text)
+                     config_from_mapping, parse_kv_text, read_text)
 from .simulation import run_single
 
 CSV_COLUMNS = ("run_id", "protocol", "nodes", "scenario", "replicate",
@@ -263,5 +263,4 @@ def parse_plan_text(text: str) -> ExperimentPlan:
 
 
 def load_plan(path) -> ExperimentPlan:
-    with open(path, encoding="utf-8") as fh:
-        return parse_plan_text(fh.read())
+    return parse_plan_text(read_text(path))

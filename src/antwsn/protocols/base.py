@@ -33,6 +33,7 @@ from ..routing import PHEROMONE, PROBABILITY, RoutingTable
 class DataPacket:
     created_at: float
     ttl: int        # remaining hop budget
+    delivered: bool = False     # set by FP's sink on the packet's first copy
 
 
 class Protocol:

@@ -69,6 +69,7 @@ class EEABR(Protocol):
         if not self._admit(ant):
             sim.count("fwd_ants_deferred")
             return
+        sim.count("fwd_ants_launched")
         self._advance(node, ant, previous=-1)
 
     def _pick_next(self, node: int, exclude):
@@ -112,21 +113,19 @@ class EEABR(Protocol):
         cache = self.caches[node]
         cache.expire(sim.now)
         if cache.seen(ant.uid, sim.now):
-            sim.count("fwd_ants_looped")
-            self._ant_died(ant)
+            self._ant_died(ant, "fwd_ants_looped")
             return
         self._advance(node, ant, previous=frame.src)
 
     def _advance(self, node: int, ant: Ant, previous: int):
         """The ant is at `node`, having come from `previous` (-1 at its
         source): record the visit, then answer it at the sink or send it on
-        to a neighbor outside its two-node memory."""
+        to a neighbor outside its two-node memory (a source always has one)."""
         sim = self.sim
         ant.visit(node, sim.now)
         ant.record_energy(sim.ledger.residual[node])
         if node == sim.sink_node:
-            sim.count("fwd_ants_arrived")
-            self._ant_died(ant)
+            self._ant_died(ant, "fwd_ants_arrived")
             dtau = trail_deposit(self.cfg.energy_budget, ant.e_min, ant.e_avg,
                                  len(ant.path), self.cfg.dtau_max)
             sim.send_frame(node, previous, BACKWARD_ANT,
@@ -134,11 +133,8 @@ class EEABR(Protocol):
             return
         nxt = self._pick_next(node, [n for n, _ in ant.path[-2:]])
         if nxt is None:
-            sim.count("fwd_ants_dead_end")
-            self._ant_died(ant)
+            self._ant_died(ant, "fwd_ants_dead_end")
             return
-        if previous < 0:
-            sim.count("fwd_ants_launched")
         self.caches[node].remember(ant.uid, previous, sim.now)
         sim.send_frame(node, nxt, FORWARD_ANT, {"ant": ant})
 
@@ -178,13 +174,13 @@ class EEABR(Protocol):
 
     def on_frame_lost(self, frame, dst_dead: bool):
         if frame.kind == FORWARD_ANT:
-            self.sim.count("fwd_ants_lost")
-            self._ant_died(frame.payload["ant"])
+            self._ant_died(frame.payload["ant"], "fwd_ants_lost")
 
     # -- hooks ----------------------------------------------------------------
 
     def _admit(self, ant: Ant) -> bool:
         return True
 
-    def _ant_died(self, ant: Ant):
-        pass
+    def _ant_died(self, ant: Ant, counter: str):
+        """Count a forward ant that looped, arrived, hit a dead end or was lost."""
+        self.sim.count(counter)

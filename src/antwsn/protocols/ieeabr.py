@@ -104,7 +104,8 @@ class IEEABR(EEABR):
     def _admit(self, ant: Ant) -> bool:
         return self.quota.admit(ant.uid)
 
-    def _ant_died(self, ant: Ant):
+    def _ant_died(self, ant: Ant, counter: str):
+        super()._ant_died(ant, counter)
         self.quota.release(ant.uid)
 
     # -- dead-neighbor handling ---------------------------------------------

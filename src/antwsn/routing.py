@@ -173,8 +173,7 @@ class AntCache:
             del records[uid]
 
     def seen(self, ant_uid: int, now: float) -> bool:
-        rec = self._records.get(ant_uid)
-        return rec is not None and rec[1] > now
+        return self.lookup(ant_uid, now) is not None
 
     def remember(self, ant_uid: int, previous: int, now: float):
         """Record the node the ant arrived from (-1 at its source)."""

@@ -68,6 +68,27 @@ class TestRun:
         assert code == 1
         assert "config error" in err
 
+    def test_out_is_checked_before_the_run(self, capsys, tmp_path, monkeypatch):
+        def no_run(sim):
+            raise AssertionError("ran despite an unusable --out")
+        monkeypatch.setattr("antwsn.cli.Simulation.run", no_run)
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        code, out, err = run_cli(capsys, "run", "--protocol", "babr", *FAST,
+                                 "--out", str(taken))
+        assert code == 1
+        assert "config error" in err and "Traceback" not in err
+        assert out == ""
+
+    def test_json_with_out_keeps_stdout_pure_json(self, capsys, tmp_path):
+        out_dir = tmp_path / "one"
+        code, out, err = run_cli(capsys, "run", "--protocol", "babr", "--json",
+                                 *FAST, "--out", str(out_dir))
+        assert code == 0
+        assert json.loads(out)["protocol"] == "babr"
+        assert f"wrote {out_dir / 'run.csv'}" in err
+        assert (out_dir / "run.csv").exists()
+
     def test_unknown_config_key(self, capsys, tmp_path):
         conf = tmp_path / "bad.conf"
         conf.write_text("protcol = babr\n")
@@ -124,6 +145,41 @@ class TestRun:
         assert code == 2
         assert err.startswith("Traceback")
         assert "RuntimeError: broken invariant" in err
+
+
+def _directory(tmp_path):
+    return tmp_path
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "not-utf8.conf"
+    path.write_bytes(b"\xffnodes = 9\n")
+    return path
+
+
+@pytest.mark.parametrize("make_input", [_directory, _not_utf8], ids=["dir", "not-utf8"])
+class TestUnreadableInputFile:
+    """A config or plan file that cannot be read or decoded is a config
+    error naming the file, found before anything runs or is written."""
+
+    def test_config(self, capsys, tmp_path, make_input):
+        path = make_input(tmp_path)
+        code, out, err = run_cli(capsys, "run", "--config", str(path))
+        assert code == 1
+        assert f"config error: cannot read {path}" in err
+        assert "Traceback" not in err
+        assert out == ""
+
+    def test_plan(self, capsys, tmp_path, make_input):
+        path = make_input(tmp_path)
+        out_dir = tmp_path / "sweepout"
+        code, out, err = run_cli(capsys, "sweep", "--plan", str(path),
+                                 "--out", str(out_dir))
+        assert code == 1
+        assert f"config error: cannot read {path}" in err
+        assert "Traceback" not in err
+        assert out == ""
+        assert not out_dir.exists()
 
 
 class TestUsageErrors:
@@ -200,6 +256,21 @@ class TestSweep:
                                "--out", "/tmp/unused-sweep-out")
         assert code == 1
         assert "config error" in err
+
+    def test_out_is_checked_before_any_cell_runs(self, capsys, tmp_path, monkeypatch):
+        def no_cells(plan, parallel=0):
+            raise AssertionError("ran cells despite an unusable --out")
+        monkeypatch.setattr("antwsn.cli.run_experiment", no_cells)
+        plan = tmp_path / "tiny.plan"
+        plan.write_text("protocols = babr\nnodes = 9\nreplicates = 1\n"
+                        "duration = 2\nlayout = grid\n")
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        code, out, err = run_cli(capsys, "sweep", "--plan", str(plan),
+                                 "--out", str(taken))
+        assert code == 1
+        assert "config error" in err and "Traceback" not in err
+        assert out == ""
 
     def test_bad_plan_contents(self, capsys, tmp_path):
         plan = tmp_path / "bad.plan"

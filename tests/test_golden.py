@@ -3,12 +3,18 @@ figures are pinned exactly.
 
 A change that keeps every cell here unchanged computes what the simulator
 computed before it; a change that moves any value is a behaviour change and
-must say so. The cells cover every protocol in both scenarios, the two
-ant-pressure cells (MAC contention, collisions, the ieeabr live-ant cap), and
-drained-battery cells in which most nodes die, so MAC dead and energy drops
-and ieeabr's dead-next-hop redistribution are pinned as well. All of them
-run in a few seconds.
+must say so. Each cell's counters are pinned too, by a short hash, so a
+lost or doubled count fails here even when the schedule does not move. The
+cells cover every protocol in both scenarios, the two ant-pressure cells
+(MAC contention, collisions, the ieeabr live-ant cap), and drained-battery
+cells in which most nodes die, so MAC dead and energy drops and ieeabr's
+dead-next-hop redistribution are pinned as well. Each cell runs once for
+both of its tests; all of them run in a few seconds.
 """
+
+import functools
+import hashlib
+import json
 
 import pytest
 
@@ -102,10 +108,46 @@ GOLDEN = {
 }
 
 
+# (protocol, scenario, variant) -> the first 16 hex digits of the SHA-256 of
+#   json.dumps(sorted(result.counters.items()))
+COUNTERS = {
+    ('babr', 'dynamic', 'base'): '4fb48966bb057a5e',
+    ('babr', 'static', 'base'): 'bffc17c6925d3ec8',
+    ('babr', 'static', 'drained'): '19074354ad8a092b',
+    ('babr', 'static', 'pressure'): 'd3112d6bd883fe9c',
+    ('eeabr', 'dynamic', 'base'): 'a79e89e6f08b8f5a',
+    ('eeabr', 'static', 'base'): '06bb6e7d484025fe',
+    ('eeabr', 'static', 'drained'): '5528a7947b87d14a',
+    ('ff', 'dynamic', 'base'): 'f3fa7c3e90fab548',
+    ('ff', 'static', 'base'): '8d1d6998250d1255',
+    ('fp', 'dynamic', 'base'): '582f42deb6f49b83',
+    ('fp', 'static', 'base'): '39cd5df8ee6cf646',
+    ('fp', 'static', 'drained'): 'd0380fa7c332f198',
+    ('ieeabr', 'dynamic', 'base'): '7d6c40c122cac2c3',
+    ('ieeabr', 'static', 'base'): '38d9a05a7fd82483',
+    ('ieeabr', 'static', 'drained'): '365c41744630de3a',
+    ('ieeabr', 'static', 'pressure'): '32249cf09b54d959',
+    ('sc', 'dynamic', 'base'): 'ba99605a5761f5e2',
+    ('sc', 'static', 'base'): 'd90ba02bcbd877a2',
+}
+
+
+@functools.cache
+def _run(protocol, scenario, variant):
+    return run_single(SimConfig(protocol=protocol, scenario=scenario, seed=SEED,
+                                **VARIANTS[variant]))
+
+
 @pytest.mark.parametrize("protocol,scenario,variant", sorted(GOLDEN))
 def test_golden_cell(protocol, scenario, variant):
-    r = run_single(SimConfig(protocol=protocol, scenario=scenario, seed=SEED,
-                             **VARIANTS[variant]))
+    r = _run(protocol, scenario, variant)
     got = (r.trace_sha256, r.dispatched_events, r.latency_s, r.success_rate_pct,
            r.energy_j, r.efficiency_kbit_per_j, r.max_live_forward_ants)
     assert repr(got) == repr(GOLDEN[protocol, scenario, variant])
+
+
+@pytest.mark.parametrize("protocol,scenario,variant", sorted(COUNTERS))
+def test_golden_counters(protocol, scenario, variant):
+    counters = sorted(_run(protocol, scenario, variant).counters.items())
+    digest = hashlib.sha256(json.dumps(counters).encode()).hexdigest()[:16]
+    assert digest == COUNTERS[protocol, scenario, variant], f"counters: {counters}"
