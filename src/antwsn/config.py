@@ -18,6 +18,17 @@ SCENARIOS = ("static", "dynamic")
 # every weight finite and nonzero.
 SC_BETA_MAX = 700.0
 
+# eeabr and ieeabr score a neighbor tau^alpha * visibility^beta. Visibility
+# is 1/max(C - e, VISIBILITY_FLOOR * C) for a budget C, so it never exceeds
+# V = 1/(VISIBILITY_FLOOR * C), and no trail entry exceeds the T of
+# `SimConfig.trail_log_bound`. Keeping alpha ln T + beta ln V at or below
+# PHEROMONE_EXPONENT_MAX, under ln(DBL_MAX) like SC_BETA_MAX, keeps every
+# weight finite. Negative exponents are refused: alpha < 0 divides by zero at
+# the zero entry ieeabr writes for a dead neighbor, and beta < 0 overflows on
+# a large budget.
+VISIBILITY_FLOOR = 1e-3   # fraction of the budget the 1/(C - e) denominator keeps
+PHEROMONE_EXPONENT_MAX = 700.0
+
 
 class ConfigError(Exception):
     pass
@@ -142,6 +153,8 @@ class SimConfig:
             raise ConfigError("rho must lie in (0, 1)")
         if self.phi <= 0:
             raise ConfigError("phi must be > 0")
+        if self.dtau_max < 0:
+            raise ConfigError("dtau_max must be >= 0")
         if self.tau0 is not None and self.tau0 <= 0:
             raise ConfigError("tau0 must be > 0")
         if self.ant_cap_multiplier < 1:
@@ -155,6 +168,35 @@ class SimConfig:
         if abs(self.sc_beta) > SC_BETA_MAX:
             raise ConfigError(f"sc_beta must lie in [-{SC_BETA_MAX:g}, {SC_BETA_MAX:g}], "
                               f"got {self.sc_beta!r}")
+        if self.alpha < 0 or self.beta < 0:
+            raise ConfigError("alpha and beta must be >= 0")
+        visibility_log = -math.log(VISIBILITY_FLOOR * self.energy_budget)
+        exponent = (self.alpha * max(0.0, self.trail_log_bound())
+                    + self.beta * max(0.0, visibility_log))
+        if exponent > PHEROMONE_EXPONENT_MAX:
+            raise ConfigError(f"alpha ln(max trail) + beta ln(max visibility) must be "
+                              f"<= {PHEROMONE_EXPONENT_MAX:g}, got {exponent:.4g}")
+
+    def trail_log_bound(self) -> float:
+        """ln T for a bound T on any pheromone trail entry, in log space so
+        that a tiny phi * rho cannot underflow.
+
+        A node has k <= n - 1 neighbors. Its column starts at total mass
+        M <= f k, with f the fresh entry (tau0, or 1/n): uniform, or primed
+        by ieeabr to that total. A deposit sets tau to
+        (1 - rho) tau + dtau / (phi bd) <= (1 - rho) tau + rho D, with
+        D = dtau_max / (phi rho), so it never lifts max(tau, D).
+        P = sum(max(tau, D)) is thus never raised by a deposit. ieeabr's
+        redistribution keeps M and zeroes a dead neighbor's entry, which no
+        deposit refills, so a column is redistributed at most k - 1 times
+        before it is primed afresh; each raises P by at most k D, since
+        P <= M + k D. Any entry is at most M <= P <= f k + k^2 D
+        <= (1 + (n - 1)^2) max(f n, D) <= n^2 max(f n, D) = T.
+        """
+        fresh_log = math.log(self.tau0) + math.log(self.nodes) if self.tau0 is not None else 0.0
+        deposit_log = (math.log(self.dtau_max) - math.log(self.phi) - math.log(self.rho)
+                       if self.dtau_max > 0 else -math.inf)
+        return 2 * math.log(self.nodes) + max(fresh_log, deposit_log)
 
     @property
     def energy_budget(self) -> float:

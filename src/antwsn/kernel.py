@@ -155,22 +155,20 @@ class RandomStream:
         return float(self._gen.exponential(mean))
 
 
-def weighted_pick(weights, u: float) -> int:
+def weighted_pick(weights, u: float) -> int | None:
     """Index drawn from non-negative weights using a single uniform u in [0,1).
 
     The last strictly positive weight absorbs any floating-point shortfall.
-    Raises ValueError when every weight is zero.
+    None when no weight is positive: nothing is eligible.
     """
     total = 0.0
     for w in weights:
         if w < 0:
             raise ValueError("negative weight")
         total += w
-    if total <= 0.0:
-        raise ValueError("all weights are zero")
     target = u * total
     acc = 0.0
-    last_positive = -1
+    last_positive = None
     for i, w in enumerate(weights):
         if w > 0:
             acc += w

@@ -65,10 +65,8 @@ class PathReinforceProtocol(Protocol):
     def _forward_step(self, node: int, ant: Ant):
         """Pick the next unicast hop; visited nodes are hard-excluded."""
         sim = self.sim
-        try:
-            nxt = self.tables[node].sample(sim.rng.protocol.uniform(),
-                                           exclude=ant.path_nodes(), strict=True)
-        except RoutingError:
+        nxt = self.tables[node].sample(sim.rng.protocol.uniform(), exclude=ant.path_nodes())
+        if nxt is None:
             sim.count("fwd_ants_dead_end")
             return
         sim.send_frame(node, nxt, FORWARD_ANT, {"ant": ant})
@@ -86,23 +84,23 @@ class PathReinforceProtocol(Protocol):
     # -- backward ants -------------------------------------------------------
 
     def _start_backward(self, sink_node: int, ant: Ant):
-        pos = len(ant.path) - 2
-        if pos < 0:
-            return
-        self.sim.send_frame(sink_node, ant.path[pos][0], BACKWARD_ANT,
-                            {"ant": ant, "pos": pos})
+        """Answer an ant at the sink. It came over at least one hop, so its
+        path holds the node it came from."""
+        self._send_backward(sink_node, ant, len(ant.path) - 2)
+
+    def _send_backward(self, node: int, ant: Ant, pos: int):
+        """Send the backward ant from `node` to the node at `ant.path[pos]`."""
+        self.sim.send_frame(node, ant.path[pos][0], BACKWARD_ANT, {"ant": ant, "pos": pos})
 
     def _on_backward_ant(self, node: int, frame):
-        sim = self.sim
         ant = frame.payload["ant"]
         pos = frame.payload["pos"]
         self._apply_reinforcement(node, came_from=frame.src,
                                   trip=ant.path[-1][1] - ant.path[pos][1])
         if pos > 0:
-            sim.send_frame(node, ant.path[pos - 1][0], BACKWARD_ANT,
-                           {"ant": ant, "pos": pos - 1})
+            self._send_backward(node, ant, pos - 1)
         else:
-            sim.count("bwd_ants_completed")
+            self.sim.count("bwd_ants_completed")
 
     def _apply_reinforcement(self, node: int, came_from: int, trip: float):
         if trip <= 0:

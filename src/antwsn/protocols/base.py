@@ -122,9 +122,11 @@ class Protocol:
                        {"packet": packet})
 
     def data_next_hop(self, node: int, arrived_from):
-        """Pick the next relay toward the sink. One always exists: every
-        column write passes `normalize_check`, and a lax `sample` falls back
-        to the whole column."""
-        exclude = () if arrived_from is None else (arrived_from,)
-        return self.tables[node].sample(self.sim.rng.protocol.uniform(),
-                                        exclude=exclude)
+        """Pick the next relay toward the sink, avoiding the node the packet
+        came from. When that node is the only one with weight, the packet
+        bounces back to it, with the same draw. One always exists: every
+        column write passes `normalize_check`."""
+        table = self.tables[node]
+        u = self.sim.rng.protocol.uniform()
+        nxt = table.sample(u, () if arrived_from is None else (arrived_from,))
+        return table.sample(u) if nxt is None else nxt

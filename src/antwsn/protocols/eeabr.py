@@ -4,12 +4,12 @@ path without carrying it. Trail deposits blend path length with the minimum
 and average residual energy the ant saw.
 """
 
+from ..config import VISIBILITY_FLOOR
 from ..kernel import weighted_pick
 from ..radio import BACKWARD_ANT, FORWARD_ANT
 from ..routing import Ant, AntCache, PHEROMONE
 from .base import Protocol
 
-VISIBILITY_FLOOR = 1e-3   # fraction of the budget the 1/(C - e) denominator keeps
 DENOM_TINY = 1e-9
 
 
@@ -75,8 +75,8 @@ class EEABR(Protocol):
     def _pick_next(self, node: int, exclude):
         """Stochastic choice over the neighbors of `node` outside `exclude`,
         weighted by trail strength and the candidate's energy visibility.
-        None, without a draw, when every neighbor is excluded; uniform when
-        every weight is zero.
+        None, without a draw, when every neighbor is excluded; uniform, with
+        the same draw, when every weight is zero.
 
         One pass computes `selection_weights` bit for bit. The node currently
         acting as sink is scored at the full budget: visibility exists to
@@ -91,21 +91,19 @@ class EEABR(Protocol):
         sink = sim.sink_node
         candidates = []
         weights = []
-        positive = False
         for n, tau in zip(table.neighbors, table.column):
             if n in exclude:
                 continue
             e = budget if n == sink else residual[n]
-            w = (tau ** alpha) * ((1.0 / max(budget - e, floor)) ** beta)
-            if w > 0:
-                positive = True
             candidates.append(n)
-            weights.append(w)
+            weights.append((tau ** alpha) * ((1.0 / max(budget - e, floor)) ** beta))
         if not candidates:
             return None
-        if not positive:
-            weights = [1.0] * len(candidates)
-        return candidates[weighted_pick(weights, sim.rng.protocol.uniform())]
+        u = sim.rng.protocol.uniform()
+        i = weighted_pick(weights, u)
+        if i is None:
+            i = weighted_pick([1.0] * len(candidates), u)
+        return candidates[i]
 
     def _on_forward_ant(self, node: int, frame):
         sim = self.sim

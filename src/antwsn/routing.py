@@ -76,31 +76,28 @@ class RoutingTable:
         if abs(s - 1.0) > NORM_TOL:
             raise RoutingError(f"column sums to {s!r}, expected 1")
 
-    def sample(self, u: float, exclude=(), strict=False) -> int:
+    def sample(self, u: float, exclude=()) -> int | None:
         """Draw a neighbor proportionally to the column weights.
 
         `u` is a uniform [0,1) variate supplied by the caller so table logic
         stays deterministic and RNG-free. Excluded neighbors get weight zero.
-        When exclusion empties the column, strict mode raises (forward ants
-        must die at dead ends); lax mode ignores the exclusion (data packets
-        may bounce back to their sender rather than vanish).
+        None when exclusion leaves no positive weight: a dead end, which the
+        caller resolves. A column with no positive weight at all is broken,
+        and raises.
         """
         weights = self.column
         if exclude:
-            masked = list(weights)
+            weights = list(weights)
             index = self.index
             for n in exclude:
                 i = index.get(n)
                 if i is not None:
-                    masked[i] = 0.0
-            for w in masked:
-                if w > 0:
-                    return self.neighbors[weighted_pick(masked, u)]
-            if strict:
-                raise RoutingError("every candidate toward the sink is excluded")
-        for w in weights:
-            if w > 0:
-                return self.neighbors[weighted_pick(weights, u)]
+                    weights[i] = 0.0
+        i = weighted_pick(weights, u)
+        if i is not None:
+            return self.neighbors[i]
+        if exclude and any(w > 0 for w in self.column):
+            return None
         raise RoutingError("no positive weight toward the sink")
 
     def rows(self):

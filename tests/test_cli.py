@@ -108,7 +108,7 @@ class TestRun:
         "ant_frame_bytes = 0", "data_frame_bytes = 0",
         "max_topology_retries = 0", "duration = nan", "bitrate = inf",
         "sigma_alpha = nan", "data_ttl_factor = -1", "grid_spacing = 0",
-        "sink_radius_frac = -0.1",
+        "sink_radius_frac = -0.1", "dtau_max = -1",
     ])
     def test_out_of_range_value_is_a_config_error(self, capsys, tmp_path, line):
         conf = tmp_path / "bad.conf"
@@ -124,6 +124,20 @@ class TestRun:
         assert code == 1
         assert "config error" in err and "sc_beta" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("lines", [
+        "beta = 250",                                    # visibility^beta overflows
+        "phi = 1e-300\nalpha = 2",                       # tau^alpha overflows
+        "beta = 100\ninitial_energy = 0.05",
+        "beta = -300\ninitial_energy = 1e6",
+        "alpha = -1\ninitial_energy = 0.05\nant_interval = 0.5",   # 0.0 ** -1
+    ])
+    def test_crashing_pheromone_exponents_are_config_errors(self, capsys, tmp_path, lines):
+        conf = tmp_path / "ieeabr.conf"
+        conf.write_text(f"protocol = ieeabr\nnodes = 25\nduration = 20\n{lines}\n")
+        code, _, err = run_cli(capsys, "run", "--config", str(conf))
+        assert code == 1
+        assert "config error" in err and "Traceback" not in err
 
     def test_zero_sink_update_period_rejected(self):
         # Checked without a run: a dynamic run with this period never returns.

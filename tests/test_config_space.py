@@ -11,7 +11,7 @@ retry budget; both are input errors with their own exit code in the CLI.
 
 import math
 
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from antwsn.config import PROTOCOL_NAMES, SC_BETA_MAX, SCENARIOS, ConfigError, SimConfig
@@ -54,11 +54,11 @@ KNOBS = {
     "trip_window": [1, 100],
     "conf_gamma": [EPS, 1 - EPS],
     "c1": [0.0, 1.0],   # c2 is set to 1 - c1
-    "alpha": [0.0, 10.0],
-    "beta": [0.0, 10.0],
+    "alpha": [0.0, 10.0, 100.0, -EPS],
+    "beta": [0.0, 10.0, 100.0, -EPS],
     "rho": [EPS, 1 - EPS, 0.0],
     "phi": [EPS, 100.0],
-    "dtau_max": [0.0, 100.0],
+    "dtau_max": [0.0, 100.0, -EPS],
     "tau0": [1e-9, 1e3],
     "sc_beta": [-SC_BETA_MAX, SC_BETA_MAX, SC_BETA_MAX + EPS],
 }
@@ -80,6 +80,12 @@ def configs(draw):
 
 @settings(max_examples=1500, deadline=None)
 @given(kwargs=configs())
+# visibility^100 overflows on a 0.01 J budget.
+@example(kwargs=dict(protocol="ieeabr", nodes=9, scenario="static", duration=4.0, seed=1,
+                     beta=100.0, initial_energy=0.01))
+# ieeabr zeroes a dead neighbor's trail entry, and 0.0 ** -EPS divides by zero.
+@example(kwargs=dict(protocol="ieeabr", nodes=9, scenario="static", duration=4.0, seed=1,
+                     alpha=-EPS, initial_energy=0.01, ant_interval=0.05))
 def test_a_config_is_rejected_or_keeps_the_invariants(kwargs):
     try:
         sim = Simulation(SimConfig(**kwargs))

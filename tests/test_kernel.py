@@ -247,9 +247,13 @@ class TestWeightedPick:
         # u close enough to 1 that accumulation may fall short of the target
         assert weighted_pick([0.1, 0.2, 0.0], 1.0 - 1e-16) == 1
 
-    def test_all_zero_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_pick([0.0, 0.0], 0.3)
+    def test_all_zero_gives_none(self):
+        assert weighted_pick([0.0, 0.0], 0.3) is None
+
+    def test_nan_weights_are_never_picked(self):
+        nan = float("nan")
+        assert weighted_pick([nan, nan], 0.3) is None
+        assert weighted_pick([0.5, nan, 0.5], 0.0) == 2
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

@@ -183,8 +183,8 @@ class _Draws:
 class TestPickNext:
     """`EEABR._pick_next` scores the candidates in one pass; it must hand
     `weighted_pick` exactly the weights `selection_weights` gives (the sink
-    scored at the full budget, uniform when every weight is zero) and pick
-    the same neighbor."""
+    scored at the full budget), then uniform weights with the same draw when
+    every weight is zero, and pick the same neighbor."""
 
     @settings(max_examples=150, deadline=None)
     @given(taus=st.lists(TAUS, min_size=6, max_size=6),
@@ -230,9 +230,12 @@ class TestPickNext:
             [table.get(n) for n in candidates],
             [budget if n == sink else sim.ledger.residual[n] for n in candidates],
             alpha, beta, budget)
-        if not any(w > 0 for w in weights):
-            weights = [1.0] * len(candidates)
-        assert picks == [weights]     # bit for bit
+        if any(w > 0 for w in weights):
+            assert picks == [weights]     # bit for bit
+        else:
+            uniform = [1.0] * len(candidates)
+            assert picks == [weights, uniform]
+            weights = uniform
         assert draws.calls == 1
         assert got == candidates[weighted_pick(weights, u)]
 

@@ -63,6 +63,18 @@ class TestBasicAntTrace:
         sim.protocol._forward_step(1, ant)
         assert sim.counters["fwd_ants_dead_end"] == 1
 
+    def test_column_without_weight_is_not_a_dead_end(self):
+        # A column with no weight is a bug, raised rather than booked as an
+        # ant that ran out of unvisited neighbors.
+        sim = build_sim("babr", LINE3, sink=2)
+        sim.protocol.tables[1].column = [0.0, 0.0]
+        ant = Ant(uid=sim.new_ant_uid())
+        ant.visit(0, 0.0)
+        ant.visit(1, 0.0)
+        with pytest.raises(RoutingError, match="no positive weight"):
+            sim.protocol._forward_step(1, ant)
+        assert sim.counters["fwd_ants_dead_end"] == 0
+
 
 class TestSensorGradient:
     def test_startup_bias_toward_the_sink(self):

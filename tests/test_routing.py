@@ -78,14 +78,15 @@ class TestRoutingTable:
         t = RoutingTable([10, 20])
         assert t.sample(0.99, exclude=(20,)) == 10
 
-    def test_strict_sample_raises_when_everything_excluded(self):
+    def test_sample_returns_none_when_everything_excluded(self):
         t = RoutingTable([10, 20])
-        with pytest.raises(RoutingError):
-            t.sample(0.5, exclude=(10, 20), strict=True)
+        assert t.sample(0.5, exclude=(10, 20)) is None
 
-    def test_lax_sample_ignores_total_exclusion(self):
+    def test_total_exclusion_leaves_the_bounce_back_to_the_caller(self):
+        # A data packet's caller resamples the whole column with the same u.
         t = RoutingTable([10, 20])
-        assert t.sample(0.0, exclude=(10, 20)) == 10
+        assert t.sample(0.0, exclude=(10, 20)) is None
+        assert t.sample(0.0) == 10
 
     def test_sample_needs_positive_mass(self):
         t = RoutingTable([10, 20], mode=PHEROMONE)
@@ -97,13 +98,12 @@ class TestRoutingTable:
                            | st.floats(0.0, 10.0), min_size=1, max_size=8),
            exclude=st.lists(st.integers(0, 9), max_size=10),
            exclude_all=st.booleans(),
-           u=st.floats(0.0, 1.0, exclude_max=True),
-           strict=st.booleans())
-    @example(column=[0.0, 0.0], exclude=[], exclude_all=False, u=0.5, strict=False)
-    @example(column=[1.0, 2.0], exclude=[], exclude_all=True, u=0.5, strict=True)
-    @example(column=[1.0, 2.0], exclude=[], exclude_all=True, u=0.5, strict=False)
-    @example(column=[0.0, 2.0], exclude=[1], exclude_all=False, u=0.9, strict=False)
-    def test_sample_matches_the_reference(self, column, exclude, exclude_all, u, strict):
+           u=st.floats(0.0, 1.0, exclude_max=True))
+    @example(column=[0.0, 0.0], exclude=[], exclude_all=False, u=0.5)
+    @example(column=[0.0, 0.0], exclude=[], exclude_all=True, u=0.5)
+    @example(column=[1.0, 2.0], exclude=[], exclude_all=True, u=0.5)
+    @example(column=[0.0, 2.0], exclude=[1], exclude_all=False, u=0.9)
+    def test_sample_matches_the_reference(self, column, exclude, exclude_all, u):
         # Neighbors are the even ids, so odd exclusions are not neighbors.
         t = RoutingTable([2 * i for i in range(len(column))], mode=PHEROMONE)
         t.set_column(column)
@@ -115,9 +115,9 @@ class TestRoutingTable:
             picks.append(list(weights))
             return weighted_pick(weights, u)
         with mock.patch.object(routing, "weighted_pick", recording):
-            got = _outcome(t.sample, u, exclude, strict)
+            got = _outcome(t.sample, u, exclude)
         want_picks = []
-        want = _outcome(reference_sample, t, u, exclude, strict, want_picks)
+        want = _outcome(reference_sample, t, u, exclude, want_picks)
         assert got == want
         assert picks == want_picks
 
@@ -208,25 +208,22 @@ class TestAntCache:
             assert len(cache) == len(ref.records)
 
 
-def reference_sample(table, u, exclude=(), strict=False, picks=None):
-    """`RoutingTable.sample` as it was written with `any` scans; `picks`
-    collects the weight lists handed to `weighted_pick`."""
-    weights = table.column
-    if exclude:
-        masked = list(weights)
-        for n in exclude:
-            i = table.index.get(n)
-            if i is not None:
-                masked[i] = 0.0
-        if any(w > 0 for w in masked):
-            weights = masked
-        elif strict:
-            raise RoutingError("every candidate toward the sink is excluded")
-    if not any(w > 0 for w in weights):
-        raise RoutingError("no positive weight toward the sink")
+def reference_sample(table, u, exclude=(), picks=None):
+    """`RoutingTable.sample` written with `any` scans: None when exclusion
+    leaves no positive weight, an error when the column has none. `picks`
+    collects the weight list handed to `weighted_pick`, one per call."""
+    weights = list(table.column)
+    for n in exclude:
+        i = table.index.get(n)
+        if i is not None:
+            weights[i] = 0.0
     if picks is not None:
-        picks.append(list(weights))
-    return table.neighbors[weighted_pick(weights, u)]
+        picks.append(weights)
+    if any(w > 0 for w in weights):
+        return table.neighbors[weighted_pick(weights, u)]
+    if any(w > 0 for w in table.column):
+        return None
+    raise RoutingError("no positive weight toward the sink")
 
 
 def _outcome(fn, *args):
