@@ -5,6 +5,7 @@ Unknown keys are rejected so a typo can never silently fall back to a default.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 PROTOCOL_NAMES = ("babr", "sc", "ff", "fp", "eeabr", "ieeabr")
@@ -32,6 +33,21 @@ PHEROMONE_EXPONENT_MAX = 700.0
 
 class ConfigError(Exception):
     pass
+
+
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+          str: (str, "a string")}
+
+
+def check_type(name: str, value, kind: type, optional: bool = False):
+    """Raise ConfigError unless `value` is of `kind`: an int is any Integral,
+    a float any Real, a bool neither; None passes when `optional`. The value
+    is kept as given, so an int duration stays an int."""
+    if value is None and optional:
+        return
+    cls, noun = _KINDS[kind]
+    if not isinstance(value, cls) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be {noun}, got {value!r}")
 
 
 @dataclass
@@ -90,6 +106,8 @@ class SimConfig:
     sc_beta: float = 1.0
 
     def __post_init__(self):
+        for name, kind, optional in _FIELD_KINDS:
+            check_type(name, getattr(self, name), kind, optional)
         self.protocol = self.protocol.lower()
         self.validate()
 
@@ -216,6 +234,10 @@ class SimConfig:
 _FIELD_NAMES = {f.name for f in fields(SimConfig)}
 _INT_FIELDS = {f.name for f in fields(SimConfig) if f.type is int}
 _FLOAT_FIELDS = tuple(f.name for f in fields(SimConfig) if f.type in (float, float | None))
+# (name, kind, None allowed) per field; every field is an int, a float, an
+# optional float or a str.
+_FIELD_KINDS = tuple((f.name, float if f.name in _FLOAT_FIELDS else f.type,
+                      f.type == float | None) for f in fields(SimConfig))
 
 
 def _convert(key: str, raw: str):

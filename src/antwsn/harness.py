@@ -15,7 +15,7 @@ import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .config import (ConfigError, PROTOCOL_NAMES, SimConfig, _convert,
+from .config import (ConfigError, PROTOCOL_NAMES, SimConfig, _convert, check_type,
                      config_from_mapping, parse_kv_text, read_text)
 from .simulation import run_single
 
@@ -49,6 +49,8 @@ class ExperimentPlan:
             repeated = sorted({x for x in axis if axis.count(x) > 1})
             if repeated:
                 raise ConfigError(f"plan {name} list {repeated} more than once")
+        check_type("replicates", self.replicates, int)
+        check_type("base_seed", self.base_seed, int)
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         reserved = {"protocol", "nodes", "scenario", "seed"}

@@ -69,11 +69,11 @@ class PathReinforceProtocol(Protocol):
         if nxt is None:
             sim.count("fwd_ants_dead_end")
             return
-        sim.send_frame(node, nxt, FORWARD_ANT, {"ant": ant})
+        sim.send_frame(node, nxt, FORWARD_ANT, ant)
 
     def _on_forward_ant(self, node: int, frame):
         sim = self.sim
-        ant = frame.payload["ant"]
+        ant = frame.payload
         ant.visit(node, sim.now)
         if node == sim.sink_node:
             sim.count("fwd_ants_arrived")
@@ -90,11 +90,10 @@ class PathReinforceProtocol(Protocol):
 
     def _send_backward(self, node: int, ant: Ant, pos: int):
         """Send the backward ant from `node` to the node at `ant.path[pos]`."""
-        self.sim.send_frame(node, ant.path[pos][0], BACKWARD_ANT, {"ant": ant, "pos": pos})
+        self.sim.send_frame(node, ant.path[pos][0], BACKWARD_ANT, (ant, pos))
 
     def _on_backward_ant(self, node: int, frame):
-        ant = frame.payload["ant"]
-        pos = frame.payload["pos"]
+        ant, pos = frame.payload
         self._apply_reinforcement(node, came_from=frame.src,
                                   trip=ant.path[-1][1] - ant.path[pos][1])
         if pos > 0:

@@ -8,9 +8,13 @@ to the simulation's hooks: `on_data_generated`, `on_frame_received`,
 ant-launch tick, which only protocols with `launches_ants` define. Concrete
 subclasses define table semantics and the ant lifecycle; data-packet
 plumbing lives here. A protocol airs a frame through `sim.send_frame` with a
-kind and a payload; the run sizes the frame from its kind. Timers are not a
-hook: the flood protocols (FF and its subclass FP) are the only ones that
-set any, and FF registers its own PROTO_TIMER handler with the kernel.
+kind and the object it carries; the run sizes the frame from its kind.
+A forward-ant carries its `Ant`, a data frame its `DataPacket`, and FP's
+data-ant an `Ant` whose `packet` is the `DataPacket`. A backward-ant carries
+`(ant, pos)` in the babr family, `pos` indexing the path entry it goes to,
+and `(uid, dtau, bd)` in the eeabr family. Timers are not a hook: the flood
+protocols (FF and its subclass FP) are the only ones that set any, and FF
+registers its own PROTO_TIMER handler with the kernel.
 
 The radio hands every node that heard a frame to `on_frame_received`,
 including the nodes that overheard a unicast addressed to another node.
@@ -106,7 +110,7 @@ class Protocol:
             self.forward_data(node, packet, arrived_from=None)
 
     def on_data_frame(self, node: int, frame: Frame):
-        packet = frame.payload["packet"]
+        packet = frame.payload
         if node == self.sim.sink_node:
             self.sim.record_delivered(packet.created_at, self.sim.now)
             return
@@ -118,8 +122,7 @@ class Protocol:
             sim.count("data_ttl_expired")
             return
         packet.ttl -= 1
-        sim.send_frame(node, self.data_next_hop(node, arrived_from), DATA,
-                       {"packet": packet})
+        sim.send_frame(node, self.data_next_hop(node, arrived_from), DATA, packet)
 
     def data_next_hop(self, node: int, arrived_from):
         """Pick the next relay toward the sink, avoiding the node the packet

@@ -107,7 +107,7 @@ class EEABR(Protocol):
 
     def _on_forward_ant(self, node: int, frame):
         sim = self.sim
-        ant = frame.payload["ant"]
+        ant = frame.payload
         cache = self.caches[node]
         cache.expire(sim.now)
         if cache.seen(ant.uid, sim.now):
@@ -126,21 +126,20 @@ class EEABR(Protocol):
             self._ant_died(ant, "fwd_ants_arrived")
             dtau = trail_deposit(self.cfg.energy_budget, ant.e_min, ant.e_avg,
                                  len(ant.path), self.cfg.dtau_max)
-            sim.send_frame(node, previous, BACKWARD_ANT,
-                           {"uid": ant.uid, "dtau": dtau, "bd": 1})
+            sim.send_frame(node, previous, BACKWARD_ANT, (ant.uid, dtau, 1))
             return
         nxt = self._pick_next(node, [n for n, _ in ant.path[-2:]])
         if nxt is None:
             self._ant_died(ant, "fwd_ants_dead_end")
             return
         self.caches[node].remember(ant.uid, previous, sim.now)
-        sim.send_frame(node, nxt, FORWARD_ANT, {"ant": ant})
+        sim.send_frame(node, nxt, FORWARD_ANT, ant)
 
     # -- backward ants -------------------------------------------------------
 
     def _on_backward_ant(self, node: int, frame):
         sim = self.sim
-        uid = frame.payload["uid"]
+        uid, dtau, bd = frame.payload
         cache = self.caches[node]
         previous = cache.lookup(uid, sim.now)
         if previous is None:
@@ -149,16 +148,12 @@ class EEABR(Protocol):
         table = self.tables[node]
         if frame.src in table.index:
             tau = table.get(frame.src)
-            table.set(frame.src, evaporate_deposit(tau, frame.payload["dtau"],
-                                                   frame.payload["bd"],
-                                                   self.cfg.rho, self.cfg.phi))
+            table.set(frame.src, evaporate_deposit(tau, dtau, bd, self.cfg.rho, self.cfg.phi))
         cache.forget(uid)
         if previous < 0:
             sim.count("bwd_ants_completed")
             return
-        sim.send_frame(node, previous, BACKWARD_ANT,
-                       {"uid": uid, "dtau": frame.payload["dtau"],
-                        "bd": frame.payload["bd"] + 1})
+        sim.send_frame(node, previous, BACKWARD_ANT, (uid, dtau, bd + 1))
 
     # -- data --------------------------------------------------------------
 
@@ -172,7 +167,7 @@ class EEABR(Protocol):
 
     def on_frame_lost(self, frame, dst_dead: bool):
         if frame.kind == FORWARD_ANT:
-            self._ant_died(frame.payload["ant"], "fwd_ants_lost")
+            self._ant_died(frame.payload, "fwd_ants_lost")
 
     # -- hooks ----------------------------------------------------------------
 

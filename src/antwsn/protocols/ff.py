@@ -36,22 +36,22 @@ class FF(PathReinforceProtocol):
 
     def launch_ant(self, node: int):
         self.sim.count("fwd_ants_launched")
-        self._flood(node, FORWARD_ANT, {})
+        self._flood(node, FORWARD_ANT)
 
     # -- flood machinery (shared with the data-ant protocol) ----------------
 
-    def _flood(self, node: int, kind: str, payload: dict):
-        """Start a flood at `node`: a new ant, seen there first, broadcast
-        with `payload`."""
+    def _flood(self, node: int, kind: str, packet=None):
+        """Start a flood at `node`: a new ant carrying `packet`, seen there
+        first, broadcast as a `kind` frame."""
         sim = self.sim
-        ant = Ant(uid=sim.new_ant_uid())
+        ant = Ant(uid=sim.new_ant_uid(), packet=packet)
         ant.visit(node, sim.now)
         self._first_sight(node, ant.uid)
-        sim.send_frame(node, BROADCAST, kind, {**payload, "ant": ant})
+        sim.send_frame(node, BROADCAST, kind, ant)
 
     def _on_flood_frame(self, node: int, frame):
         sim = self.sim
-        ant = frame.payload["ant"]
+        ant = frame.payload
         if node == sim.sink_node:
             self._flood_at_sink(node, frame)
             return
@@ -65,8 +65,7 @@ class FF(PathReinforceProtocol):
         mine = ant.fork()
         mine.visit(node, sim.now)
         delay = sim.rng.protocol.uniform() * self.cfg.ff_delay_max
-        ev = sim.kernel.schedule(sim.now + delay, PROTO_TIMER,
-                                 (node, frame.kind, {**frame.payload, "ant": mine}))
+        ev = sim.kernel.schedule(sim.now + delay, PROTO_TIMER, (node, frame.kind, mine))
         self._pending[(node, mine.uid)] = ev
 
     def _first_sight(self, node: int, uid: int) -> bool:
@@ -81,7 +80,7 @@ class FF(PathReinforceProtocol):
     def _flood_at_sink(self, node: int, frame):
         # Every copy reaching the sink earns its own backward ant.
         self.sim.count("fwd_ants_arrived")
-        arrived = frame.payload["ant"].fork()
+        arrived = frame.payload.fork()
         arrived.visit(node, self.sim.now)
         self._start_backward(node, arrived)
 
@@ -96,11 +95,11 @@ class FF(PathReinforceProtocol):
         """PROTO_TIMER handler. The only timer a flood protocol sets is a
         scheduled rebroadcast; its `_pending` entry goes either way, and a
         node that died since scheduling airs nothing."""
-        node, kind, payload = ev.payload
+        node, kind, ant = ev.payload
         sim = self.sim
-        self._pending.pop((node, payload["ant"].uid), None)
+        self._pending.pop((node, ant.uid), None)
         if sim.ledger.alive(node):
-            sim.send_frame(node, BROADCAST, kind, payload)
+            sim.send_frame(node, BROADCAST, kind, ant)
 
     def _apply_reinforcement(self, node: int, came_from: int, trip: float):
         super()._apply_reinforcement(node, came_from, trip)

@@ -1,10 +1,8 @@
 """Flooded-data variant: there are no separate forward ants. Each data
 packet rides a flooded data ant that accumulates the visited-node list; the
 flood obeys the same two suppression rules, and every copy reaching the sink
-spawns a path-retracing backward ant. Delivery is counted once per packet:
-a rebroadcast copies the payload dict shallowly, forking only the ant, so
-every copy of a flood carries the same `DataPacket`, and the sink marks it
-delivered on the first copy.
+spawns a path-retracing backward ant. Every fork of a flood's ant shares
+its one `DataPacket`, so the sink counts the delivery on the first copy.
 """
 
 from ..radio import DATA_ANT
@@ -18,10 +16,10 @@ class FP(FF):
     def on_data_generated(self, node: int):
         packet = self._new_packet(node)
         if packet is not None:
-            self._flood(node, DATA_ANT, {"packet": packet})
+            self._flood(node, DATA_ANT, packet)
 
     def _flood_at_sink(self, node: int, frame):
-        packet = frame.payload["packet"]
+        packet = frame.payload.packet
         if not packet.delivered:
             packet.delivered = True
             self.sim.record_delivered(packet.created_at, self.sim.now)

@@ -112,20 +112,22 @@ class Ant:
 
     `path` records the (node, time) hops so far, the current node last; its
     length is the hop count. Full-path protocols exclude every visited node,
-    the pheromone family only the last two.
+    the pheromone family only the last two. `packet` is the `DataPacket` a
+    flooded data ant hauls, None on every other ant.
     """
     uid: int
     path: list = field(default_factory=list)
     e_min: float = math.inf
     e_sum: float = 0.0
     e_count: int = 0
+    packet: object = None
 
     def visit(self, node: int, time: float):
         self.path.append((node, time))
 
     def fork(self) -> "Ant":
-        """Independent copy; flooded ants diverge per receiver."""
-        return Ant(self.uid, list(self.path), self.e_min, self.e_sum, self.e_count)
+        """Copy for one receiver of a flood: its own path, the same packet."""
+        return Ant(self.uid, list(self.path), self.e_min, self.e_sum, self.e_count, self.packet)
 
     def record_energy(self, residual: float):
         if residual < self.e_min:

@@ -249,7 +249,7 @@ def test_c5_cyclic_ants_die_within_one_lap():
             if sim.counters["fwd_ants_looped"]:
                 break
             frame = Frame(src=prev, dst=node, kind=FORWARD_ANT,
-                          size_bits=160, payload={"ant": ant})
+                          size_bits=160, payload=ant)
             sim.protocol._on_forward_ant(node, frame)
             prev = node
         if sim.counters["fwd_ants_looped"] != 1:

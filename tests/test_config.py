@@ -101,6 +101,32 @@ class TestValidation:
     def test_boundaries_accepted(self, ok):
         SimConfig(**ok)
 
+    @pytest.mark.parametrize("bad, message", [
+        (dict(nodes=9.0, layout="grid"), "nodes must be an integer, got 9.0"),
+        (dict(duration="5"), "duration must be a number, got '5'"),
+        (dict(traffic_rate=None), "traffic_rate must be a number, got None"),
+        (dict(protocol=5), "protocol must be a string, got 5"),
+        (dict(seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(protocol="babr", trip_window=2.5), "trip_window must be an integer"),
+        (dict(cw_init=1.5), "cw_init must be an integer"),
+        (dict(cw_init=True), "cw_init must be an integer, got True"),
+        (dict(sigma_alpha=True), "sigma_alpha must be a number, got True"),
+        (dict(ant_cap_multiplier=1.5), "ant_cap_multiplier must be an integer"),
+        (dict(layout=None), "layout must be a string"),
+        (dict(initial_energy="7"), "initial_energy must be a number"),
+    ])
+    def test_wrongly_typed_value_rejected(self, bad, message):
+        # Files and flags convert strings; a Python caller can pass anything.
+        with pytest.raises(ConfigError, match=message):
+            SimConfig(**bad)
+
+    def test_values_are_kept_as_given(self):
+        # An int in a float field is checked, not converted: converting it
+        # would change its repr.
+        cfg = SimConfig(duration=5, sink_update_period=2, tau0=1, rx_threshold=None)
+        assert repr(cfg.duration) == "5" and repr(cfg.sink_update_period) == "2"
+        assert cfg.tau0 == 1 and type(cfg.tau0) is int and cfg.rx_threshold is None
+
     def test_sc_beta_bound_keeps_the_initial_softmax_finite(self):
         # The cheapest neighbor's exponent is sc_beta itself; at the bound
         # every start-up column is still finite and normalized.

@@ -1,12 +1,15 @@
-"""Property test over the configuration space: a drawn `SimConfig` is either
-rejected with a clear error, or it runs and keeps the invariants of
+"""Property tests over the configuration space: a drawn `SimConfig` is
+either rejected with a clear error, or it runs and keeps the invariants of
 `tests/test_invariants.py`.
 
-Each draw takes 2-16 nodes, at most 4 s of virtual time and 1-8 knobs, each
-set to one of its extreme values: the bounds that `SimConfig.validate`
-accepts, plus a few just past them. A rejected config raises `ConfigError`,
-or `TopologyError` when no connected field exists for its radio range and
-retry budget; both are input errors with their own exit code in the CLI.
+Each draw of the first test takes 2-16 nodes, at most 4 s of virtual time and
+1-8 knobs, each set to one of its extreme values: the bounds that
+`SimConfig.validate` accepts, plus a few just past them. A rejected config
+raises `ConfigError`, or `TopologyError` when no connected field exists for
+its radio range and retry budget; both are input errors with their own exit
+code in the CLI. A crash that needs two knobs together is rarely drawn that
+way, so the second test sets every knob of the pheromone weight
+tau^alpha * visibility^beta at once, on eeabr and ieeabr.
 """
 
 import math
@@ -87,6 +90,32 @@ def configs(draw):
 @example(kwargs=dict(protocol="ieeabr", nodes=9, scenario="static", duration=4.0, seed=1,
                      alpha=-EPS, initial_energy=0.01, ant_interval=0.05))
 def test_a_config_is_rejected_or_keeps_the_invariants(kwargs):
+    assert_rejected_or_sound(kwargs)
+
+
+# Every knob that sizes a trail entry or a visibility, or how often ants
+# deposit. None is the default of initial_energy and tau0.
+PHEROMONE_KNOBS = {
+    "alpha": [0.0, 1.0, 10.0, 100.0, -EPS],
+    "beta": [0.0, 1.0, 10.0, 100.0, -EPS],
+    "initial_energy": [None, *KNOBS["initial_energy"]],
+    "tau0": [None, *KNOBS["tau0"]],
+    **{knob: KNOBS[knob] for knob in ("phi", "rho", "dtau_max", "ant_interval")},
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(protocol=st.sampled_from(["eeabr", "ieeabr"]), nodes=st.integers(2, 16),
+       scenario=st.sampled_from(SCENARIOS), seed=st.integers(1, 10_000),
+       values=st.fixed_dictionaries({knob: st.sampled_from(extremes)
+                                     for knob, extremes in PHEROMONE_KNOBS.items()}))
+def test_pheromone_knobs_together_are_rejected_or_keep_the_invariants(
+        protocol, nodes, scenario, seed, values):
+    assert_rejected_or_sound(dict(protocol=protocol, nodes=nodes, scenario=scenario,
+                                  duration=2.0, seed=seed, **values))
+
+
+def assert_rejected_or_sound(kwargs):
     try:
         sim = Simulation(SimConfig(**kwargs))
     except (ConfigError, TopologyError) as exc:

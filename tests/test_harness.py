@@ -3,11 +3,16 @@ and serial/parallel equivalence."""
 
 import concurrent.futures
 import json
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from antwsn.config import ConfigError
+import antwsn
+from antwsn.config import PROTOCOL_NAMES, ConfigError
 from antwsn.harness import (CSV_COLUMNS, ExperimentPlan, ResultTable,
                             cell_seed, load_plan, parse_plan_text,
                             run_experiment)
@@ -70,6 +75,17 @@ class TestPlanValidation:
     def test_rejected(self, bad):
         with pytest.raises(ConfigError):
             ExperimentPlan(**bad)
+
+    @pytest.mark.parametrize("bad, message", [
+        (dict(overrides={"trip_window": 2.5}), "trip_window must be an integer"),
+        (dict(replicates=2.5), "replicates must be an integer, got 2.5"),
+        (dict(replicates=True), "replicates must be an integer, got True"),
+        (dict(base_seed=1.5), "base_seed must be an integer, got 1.5"),
+        (dict(node_counts=(9.0,)), "nodes must be an integer, got 9.0"),
+    ])
+    def test_wrongly_typed_value_rejected(self, bad, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentPlan(**{**SMALL, **bad})
 
     @pytest.mark.parametrize("axis, entries, repeated", [
         ("protocols", ("babr", "sc", "babr"), "'babr'"),
@@ -174,6 +190,42 @@ class TestParallelEquivalence:
     def test_repeat_serial_run_is_identical(self, small_table):
         again = run_experiment(ExperimentPlan(**SMALL))
         assert again.to_csv() == small_table.to_csv()
+
+
+# One short dynamic cell per protocol; prints the string hash of a fixed
+# word, then each cell's trace hash, event count and counters, as JSON.
+HASH_SEED_SCRIPT = """
+import json, sys
+from antwsn.config import PROTOCOL_NAMES, SimConfig
+from antwsn.simulation import run_single
+cells = {}
+for protocol in PROTOCOL_NAMES:
+    r = run_single(SimConfig(protocol=protocol, nodes=16, scenario="dynamic",
+                             duration=10.0, ant_interval=0.5, seed=7))
+    cells[protocol] = [r.trace_sha256, r.dispatched_events, r.counters]
+json.dump([hash("antwsn"), cells], sys.stdout)
+"""
+
+
+def run_under_hash_seed(hash_seed: int):
+    src = str(Path(antwsn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(proc.stdout)
+
+
+class TestHashSeedIndependence:
+    def test_schedule_does_not_depend_on_the_string_hash_seed(self):
+        # Pool workers fork and inherit the parent's PYTHONHASHSEED, so the
+        # pool-vs-serial check cannot see a schedule that follows the order
+        # of string hashes; two fresh interpreters can.
+        hash_1, cells_1 = run_under_hash_seed(1)
+        hash_2, cells_2 = run_under_hash_seed(2)
+        assert hash_1 != hash_2
+        assert sorted(cells_1) == sorted(PROTOCOL_NAMES)
+        assert cells_1 == cells_2
 
 
 class TestPoolSize:

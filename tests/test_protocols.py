@@ -97,11 +97,11 @@ class TestFloodDiscipline:
         sent = log_sends(sim)
         sim.protocol.launch_ant(0)
         sim.kernel.run_until(5.0)
-        uid = next(f.payload["ant"].uid for f in sent if f.kind == FORWARD_ANT)
+        uid = next(f.payload.uid for f in sent if f.kind == FORWARD_ANT)
         per_node = {}
         for f in sent:
             if f.kind == FORWARD_ANT and f.dst == BROADCAST \
-                    and f.payload["ant"].uid == uid:
+                    and f.payload.uid == uid:
                 per_node[f.src] = per_node.get(f.src, 0) + 1
         assert all(count == 1 for count in per_node.values())
         assert len(per_node) <= 5
@@ -114,7 +114,7 @@ class TestFloodDiscipline:
         ant = Ant(uid=sim.new_ant_uid())
         ant.visit(0, 0.0)
         frame = Frame(src=0, dst=BROADCAST, kind=FORWARD_ANT,
-                      size_bits=sim.cfg.ant_bits, payload={"ant": ant})
+                      size_bits=sim.cfg.ant_bits, payload=ant)
         sim.protocol._on_flood_frame(1, frame)   # node 1 schedules its rebroadcast
         [(key, timer)] = sim.protocol._pending.items()
         assert key == (1, ant.uid) and timer.time < 1.0
@@ -134,6 +134,16 @@ class TestFloodDiscipline:
         assert proto._want_rebroadcast(1, 99) is True     # unknown sender, p = 0
 
 
+def frames_of_a_small_run(protocol):
+    """Every frame a 9-node grid hands to the MAC in 10 s of ant traffic."""
+    cfg = SimConfig(protocol=protocol, nodes=9, layout="grid", duration=10.0,
+                    ant_interval=0.5, seed=3)
+    sim = Simulation(cfg)
+    sent = log_sends(sim)
+    sim.run()
+    return sent
+
+
 class TestFrameSizes:
     # 20-byte ants, 50-byte data, and a flooded data ant hauling both.
     BITS = {FORWARD_ANT: 160, BACKWARD_ANT: 160, DATA: 400, DATA_ANT: 560}
@@ -141,14 +151,35 @@ class TestFrameSizes:
 
     @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
     def test_every_frame_has_its_kinds_size(self, protocol):
-        cfg = SimConfig(protocol=protocol, nodes=9, layout="grid", duration=10.0,
-                        ant_interval=0.5, seed=3)
-        sim = Simulation(cfg)
-        sent = log_sends(sim)
-        sim.run()
+        sent = frames_of_a_small_run(protocol)
         assert {f.kind for f in sent} == self.KINDS.get(
             protocol, {FORWARD_ANT, BACKWARD_ANT, DATA})
         assert all(f.size_bits == self.BITS[f.kind] for f in sent)
+
+
+class TestFramePayloads:
+    # A frame carries the object it transports, never a dict of them.
+    @staticmethod
+    def carries_its_object(kind, payload, protocol):
+        if kind == DATA:
+            return type(payload) is DataPacket
+        if kind == FORWARD_ANT:
+            return type(payload) is Ant and payload.packet is None
+        if kind == DATA_ANT:
+            return type(payload) is Ant and type(payload.packet) is DataPacket
+        if protocol in ("eeabr", "ieeabr"):   # backward-ant: (uid, dtau, bd)
+            uid, dtau, bd = payload
+            return type(uid) is int and type(dtau) is float and type(bd) is int
+        ant, pos = payload                     # backward-ant: (ant, pos)
+        return type(ant) is Ant and type(pos) is int and 0 <= pos < len(ant.path) - 1
+
+    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+    def test_every_frame_carries_its_kinds_object(self, protocol):
+        sent = frames_of_a_small_run(protocol)
+        assert sent
+        wrong = [(f.kind, f.payload) for f in sent
+                 if not self.carries_its_object(f.kind, f.payload, protocol)]
+        assert wrong == []
 
 
 class TestFloodedData:
@@ -164,7 +195,7 @@ class TestFloodedData:
         # middle hop learned the sink direction from the backward ant
         mid = sim.protocol.tables[1]
         assert mid.get(2) > 0.5
-        # the flooded copies carry payload plus the visited list
+        # the flooded copies carry the packet plus the visited list
         data_ants = [f for f in sent if f.kind == DATA_ANT]
         assert data_ants
         assert all(f.size_bits == sim.cfg.data_bits + sim.cfg.ant_bits
@@ -173,12 +204,12 @@ class TestFloodedData:
     def test_delivery_counted_once_per_packet(self):
         sim = build_sim("fp", LINE3, sink=2)
         packet = DataPacket(created_at=0.0, ttl=12)
-        ant = Ant(uid=sim.new_ant_uid())
+        ant = Ant(uid=sim.new_ant_uid(), packet=packet)
         ant.visit(0, 0.0)
         for src in (1, 1):
             # Each copy carries its own fork of the packet's one flood ant.
             frame = Frame(src=src, dst=BROADCAST, kind=DATA_ANT, size_bits=560,
-                          payload={"packet": packet, "ant": ant.fork()})
+                          payload=ant.fork())
             sim.protocol._flood_at_sink(2, frame)
         assert sim.metrics.delivered == 1
         assert sim.counters["fwd_ants_arrived"] == 2  # both copies answered
@@ -230,13 +261,11 @@ class TestPheromoneSelection:
         sim = build_sim("eeabr", LINE3, sink=2)
         ant = Ant(uid=77)
         ant.visit(0, 0.0)
-        frame = Frame(src=0, dst=1, kind=FORWARD_ANT, size_bits=160,
-                      payload={"ant": ant})
+        frame = Frame(src=0, dst=1, kind=FORWARD_ANT, size_bits=160, payload=ant)
         sim.protocol._on_forward_ant(1, frame)
         again = Ant(uid=77)
         again.visit(0, 0.0)
-        frame2 = Frame(src=0, dst=1, kind=FORWARD_ANT, size_bits=160,
-                       payload={"ant": again})
+        frame2 = Frame(src=0, dst=1, kind=FORWARD_ANT, size_bits=160, payload=again)
         sim.protocol._on_forward_ant(1, frame2)
         assert sim.counters["fwd_ants_looped"] == 1
 
@@ -245,7 +274,7 @@ class TestPheromoneSelection:
         proto = sim.protocol
         proto.caches[1].remember(5, previous=-1, now=0.0)
         frame = Frame(src=2, dst=1, kind=BACKWARD_ANT, size_bits=160,
-                      payload={"uid": 5, "dtau": 0.2, "bd": 1})
+                      payload=(5, 0.2, 1))
         proto._on_backward_ant(1, frame)
         # fresh trail 1/3 decays by rho then takes the full deposit
         assert proto.tables[1].get(2) == pytest.approx(0.9 / 3 + 0.2)
@@ -255,7 +284,7 @@ class TestPheromoneSelection:
     def test_stale_backward_ant_is_dropped(self):
         sim = build_sim("eeabr", LINE3, sink=2)
         frame = Frame(src=2, dst=1, kind=BACKWARD_ANT, size_bits=160,
-                      payload={"uid": 999, "dtau": 0.2, "bd": 1})
+                      payload=(999, 0.2, 1))
         sim.protocol._on_backward_ant(1, frame)
         assert sim.counters["bwd_ants_stale"] == 1
 
@@ -375,8 +404,7 @@ class TestDataPipeline:
     def test_overheard_unicast_is_ignored(self):
         sim = build_sim("babr", LINE3, sink=2)
         packet = DataPacket(created_at=0.0, ttl=5)
-        frame = Frame(src=0, dst=2, kind=DATA, size_bits=400,
-                      payload={"packet": packet})
+        frame = Frame(src=0, dst=2, kind=DATA, size_bits=400, payload=packet)
         sim.protocol.on_frame_received(1, frame)
         assert sim.metrics.delivered == 0
         assert packet.ttl == 5  # untouched: the frame was not for this node
@@ -389,8 +417,7 @@ class TestDataPipeline:
         for node, t in ((0, 0.0), (1, 0.1), (2, 0.2)):
             ant.visit(node, t)
         # node 1's last retrace hop to the source, overheard by the sink
-        frame = Frame(src=1, dst=0, kind=BACKWARD_ANT, size_bits=160,
-                      payload={"ant": ant, "pos": 0})
+        frame = Frame(src=1, dst=0, kind=BACKWARD_ANT, size_bits=160, payload=(ant, 0))
         column = list(proto.tables[2].column)
         proto.on_frame_received(2, frame)
         assert proto.tables[2].column == column
@@ -408,8 +435,7 @@ class TestDataPipeline:
         sim = build_sim(protocol, LINE3, sink=2)
         ant = Ant(uid=sim.new_ant_uid())
         ant.visit(0, 0.0)
-        frame = Frame(src=0, dst=BROADCAST, kind=FORWARD_ANT, size_bits=160,
-                      payload={"ant": ant})
+        frame = Frame(src=0, dst=BROADCAST, kind=FORWARD_ANT, size_bits=160, payload=ant)
         with pytest.raises(NotImplementedError, match=protocol):
             sim.protocol.on_frame_received(1, frame)
 

@@ -36,7 +36,7 @@ class DedupModel:
             return want(node, sender)
 
         def on_flood_frame(node, frame):
-            uid = frame.payload["ant"].uid
+            uid = frame.payload.uid
             at_sink = node == sim.sink_node
             asked.clear()
             handle(node, frame)
@@ -53,7 +53,7 @@ class DedupModel:
 
         def send_frame(src, dst, kind, payload):
             if kind in FLOOD_KINDS:   # a launch, or a rebroadcast of a seen uid
-                uid = payload["ant"].uid
+                uid = payload.uid
                 self.flooded.add(uid)
                 self.seen[src].add(uid)
             send(src, dst, kind, payload)
