@@ -12,6 +12,7 @@ import io
 import itertools
 import json
 import statistics
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,26 +41,32 @@ class ExperimentPlan:
     overrides: dict = field(default_factory=dict)  # extra SimConfig knobs
 
     def __post_init__(self):
-        self.protocols = tuple(p.lower() for p in self.protocols)
-        self.scenarios = tuple(s.lower() for s in self.scenarios)
-        for name in ("protocols", "node_counts", "scenarios"):
+        # Each axis: a non-empty tuple or list (not a bare string) of its field's type.
+        for name, key, kind in (("protocols", "protocol", str), ("node_counts", "nodes", int),
+                                ("scenarios", "scenario", str)):
             axis = getattr(self, name)
-            if not axis:
-                raise ConfigError(f"plan {name} must not be empty")
+            if not isinstance(axis, (tuple, list)) or not axis:
+                raise ConfigError(f"plan {name} must be a non-empty tuple or list, got {axis!r}")
+            for x in axis:
+                check_type(key, x, kind)
+            axis = tuple(x.lower() for x in axis) if kind is str else tuple(axis)
             repeated = sorted({x for x in axis if axis.count(x) > 1})
             if repeated:
                 raise ConfigError(f"plan {name} list {repeated} more than once")
+            setattr(self, name, axis)
         check_type("replicates", self.replicates, int)
         check_type("base_seed", self.base_seed, int)
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
-        reserved = {"protocol", "nodes", "scenario", "seed"}
-        bad = reserved & set(self.overrides)
+        overrides = self.overrides
+        if not (isinstance(overrides, Mapping) and all(isinstance(k, str) for k in overrides)):
+            raise ConfigError(f"plan overrides must be a mapping with str keys, got {overrides!r}")
+        bad = {"protocol", "nodes", "scenario", "seed"} & set(overrides)
         if bad:
             raise ConfigError(f"plan overrides may not set {sorted(bad)}; "
                               "use the plan fields instead")
         self.overrides = {k: _convert(k, v) if isinstance(v, str) else v
-                          for k, v in self.overrides.items()}
+                          for k, v in overrides.items()}
         # Every cell config is checked before any cell runs; replicates differ
         # only in their seed.
         for p, n, s in itertools.product(self.protocols, self.node_counts, self.scenarios):

@@ -66,9 +66,11 @@ class Protocol:
     def on_sink_changed(self, new_node: int):
         """The sink moved to `new_node`."""
 
-    def on_frame_lost(self, frame: Frame, dst_dead: bool):
-        """A frame died in the MAC or was never received by its addressee;
-        `dst_dead` is True when the addressee was dead."""
+    def on_frame_lost(self, frame: Frame, reason: str):
+        """`frame` is lost, and the run has booked it. The MAC dropped it
+        unaired for `reason` 'busy' (past `max_retries`), 'energy' (the tx
+        charge drained the sender) or 'dead' (sender dead); 'undelivered' is
+        an aired unicast that its addressee did not get."""
 
     # -- frame dispatch ----------------------------------------------------
 

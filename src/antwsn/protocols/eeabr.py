@@ -165,7 +165,7 @@ class EEABR(Protocol):
 
     # -- loss bookkeeping ----------------------------------------------------
 
-    def on_frame_lost(self, frame, dst_dead: bool):
+    def on_frame_lost(self, frame, reason: str):
         if frame.kind == FORWARD_ANT:
             self._ant_died(frame.payload, "fwd_ants_lost")
 

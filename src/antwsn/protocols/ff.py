@@ -30,7 +30,8 @@ class FF(PathReinforceProtocol):
         # replace this: under MAC queueing a duplicate copy reaches a node
         # tens of seconds after its first one.
         self._seen = {}
-        self._pending = {}          # (node, ant uid) -> scheduled rebroadcast
+        # (node, ant uid) -> scheduled rebroadcast, so bounded by live timers.
+        self._pending = {}
         self._reinforced = set()    # nodes whose sink column has real opinions
         sim.kernel.on(PROTO_TIMER, self.on_timer)
 

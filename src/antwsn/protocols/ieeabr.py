@@ -49,7 +49,8 @@ def redistribute_column(values, dead_index: int):
 
 
 class AntQuota:
-    """Network-wide budget of concurrently live forward ants."""
+    """Network-wide budget of concurrently live forward ants. The live set
+    is bounded by the cap: `admit` refuses an ant once it is full."""
 
     def __init__(self, cap: int):
         self.cap = cap
@@ -110,19 +111,17 @@ class IEEABR(EEABR):
 
     # -- dead-neighbor handling ---------------------------------------------
 
-    def on_frame_lost(self, frame, dst_dead: bool):
-        super().on_frame_lost(frame, dst_dead)
-        if not dst_dead:
+    def on_frame_lost(self, frame, reason: str):
+        # A unicast that a dead addressee missed moves mass off that link.
+        # Nothing is charged between the radio's delivery loop and this hook.
+        super().on_frame_lost(frame, reason)
+        if reason != "undelivered" or self.sim.ledger.alive(frame.dst):
             return
         table = self.tables[frame.src]
-        if frame.dst not in table.index:
+        idx = table.index.get(frame.dst)
+        if idx is None or table.column[idx] <= 0:
             return
-        idx = table.index[frame.dst]
-        col = table.column
-        if col[idx] <= 0:
-            return
-        redistributed = redistribute_column(col, idx)
-        if redistributed is None:
-            return  # sole neighbor died; nothing left to shift mass onto
-        table.set_column(redistributed)
-        self.sim.count("link_failures_rerouted")
+        redistributed = redistribute_column(table.column, idx)
+        if redistributed is not None:   # None: the sole neighbor died
+            table.set_column(redistributed)
+            self.sim.count("link_failures_rerouted")

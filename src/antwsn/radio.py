@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernel
+from .kernel import MAC_RETRY, TX_END, TX_START
 from .config import SimConfig
 
 BROADCAST = -1
@@ -175,31 +175,25 @@ class Medium:
     Every live node that hears a frame without a collision is charged the
     rx cost, and every one that survives the charge, addressee or not, is
     handed to `deliver`, in ascending node id; the protocol drops overheard
-    unicasts.
-    The rx debit of a receiver whose residual exceeds the cost is made in
-    place, with the same float operations as `EnergyLedger.charge`; every
-    other debit goes through `charge`.
-
-    Link noise comes from the medium's private radio stream in blocks of
-    NOISE_BLOCK frames, one `normals` call per block; the j-th frame aired
-    takes the j-th row, so the draws are the ones a call per frame would give.
+    unicasts. Link noise comes in blocks from the medium's own radio stream
+    (`_draw_noise`).
 
     Callbacks:
-      deliver(node, frame)            -- frame survived at `node`
-      on_undelivered(frame, dst_dead) -- unicast frame whose addressee got nothing
-      on_mac_drop(frame, reason)      -- frame never aired ('busy', 'energy', 'dead')
+      deliver(node, frame)          -- frame survived at `node`
+      on_frame_lost(frame, reason)  -- frame lost, once: unaired ('busy',
+          'energy', 'dead') or an aired unicast's addressee got nothing
+          ('undelivered')
     """
 
-    def __init__(self, sim, topology, cfg: SimConfig, ledger: EnergyLedger,
-                 rng_radio, rng_mac, deliver, on_undelivered, on_mac_drop):
-        self.sim = sim
+    def __init__(self, kernel, topology, cfg: SimConfig, ledger: EnergyLedger,
+                 rng_radio, rng_mac, deliver, on_frame_lost):
+        self.kernel = kernel
         self.cfg = cfg
         self.ledger = ledger
         self.rng_radio = rng_radio
         self.rng_mac = rng_mac
         self.deliver = deliver
-        self.on_undelivered = on_undelivered
-        self.on_mac_drop = on_mac_drop
+        self.on_frame_lost = on_frame_lost
         # None: the zero-noise audible set is exactly the tx_radius disk.
         self.rx_threshold = (cfg.rx_threshold if cfg.rx_threshold is not None else
                              ideal_reception(cfg.p_transmit, cfg.tx_radius, cfg.gamma))
@@ -221,9 +215,9 @@ class Medium:
         self.frames_sent = 0
         self.frames_delivered = 0
 
-        sim.on(kernel.TX_START, self._handle_tx_start)
-        sim.on(kernel.TX_END, self._handle_tx_end)
-        sim.on(kernel.MAC_RETRY, self._handle_retry)
+        kernel.on(TX_START, self._handle_tx_start)
+        kernel.on(TX_END, self._handle_tx_end)
+        kernel.on(MAC_RETRY, self._handle_retry)
 
     # -- energy ---------------------------------------------------------
 
@@ -232,7 +226,7 @@ class Medium:
         rate = self.cfg.e_idle_per_s
         if rate == 0.0:
             return
-        now = self.sim.now()
+        now = self.kernel.now()
         if self.ledger.alive(node):
             dt = now - self._last_idle[node]
             if dt > 0:
@@ -251,7 +245,7 @@ class Medium:
     def send(self, frame: Frame):
         """Queue a frame at its source; the MAC airs queued frames in order."""
         if not self.ledger.alive_bits >> frame.src & 1:
-            self.on_mac_drop(frame, "dead")
+            self.on_frame_lost(frame, "dead")
             return
         queue = self._queues[frame.src]
         queue.append(frame)
@@ -261,7 +255,7 @@ class Medium:
     def _flush_dead(self, node):
         queue = self._queues[node]
         for frame in queue:
-            self.on_mac_drop(frame, "dead")
+            self.on_frame_lost(frame, "dead")
         queue.clear()
 
     def _channel_busy(self, node) -> bool:
@@ -270,7 +264,7 @@ class Medium:
         senders = self._in_range_bits[node] & self._air_bits
         if not senders:
             return False
-        now = self.sim.now()
+        now = self.kernel.now()
         inflight = self._inflight
         while senders:
             low = senders & -senders
@@ -294,16 +288,16 @@ class Medium:
             if attempts > self.cfg.max_retries:
                 # Report before dequeuing: a frame the callback sends from
                 # this node queues behind the dropped one and starts no cycle.
-                self.on_mac_drop(frame, "busy")
+                self.on_frame_lost(frame, "busy")
                 queue.popleft()
                 self._attempt(node)
                 return
             window = self.cfg.cw_init * (2 ** (attempts - 1))
             slots = self.rng_mac.randint(1, window)
             delay = slots * self.airtime(frame)
-            self.sim.schedule(self.sim.now() + delay, kernel.MAC_RETRY, (node, attempts))
+            self.kernel.schedule(self.kernel.now() + delay, MAC_RETRY, (node, attempts))
             return
-        self.sim.schedule(self.sim.now(), kernel.TX_START, node)
+        self.kernel.schedule(self.kernel.now(), TX_START, node)
 
     def _handle_retry(self, ev):
         self._attempt(*ev.payload)
@@ -321,10 +315,10 @@ class Medium:
         if debited < cost:
             # Ran out of juice mid-charge: node is now dead, frame never airs.
             queue.popleft()
-            self.on_mac_drop(frame, "energy")
+            self.on_frame_lost(frame, "energy")
             self._flush_dead(node)
             return
-        t1 = self.sim.now() + self.airtime(frame)
+        t1 = self.kernel.now() + self.airtime(frame)
         # Every in-flight frame is on air here (t1 > now): a TX_END due by now
         # was scheduled before this TX_START, so it ran first and left _inflight.
         tr = _Transmission(frame, t1, self._audible(node))
@@ -332,7 +326,7 @@ class Medium:
         self._inflight[node] = tr
         self._air_bits |= 1 << node
         self.frames_sent += 1
-        self.sim.schedule(t1, kernel.TX_END, tr)
+        self.kernel.schedule(t1, TX_END, tr)
 
     def _draw_noise(self):
         """Draw the next NOISE_BLOCK frames' noise with one call. Row j of
@@ -417,7 +411,7 @@ class Medium:
         # Unicast bookkeeping before the handlers run, so the network sees
         # failures in channel order.
         if frame.dst != BROADCAST and frame.dst not in delivered:
-            self.on_undelivered(frame, not ledger.alive(frame.dst))
+            self.on_frame_lost(frame, "undelivered")
         self.frames_delivered += len(delivered)
         deliver = self.deliver
         for node in delivered:

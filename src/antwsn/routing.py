@@ -154,7 +154,9 @@ class AntCache:
 
     A record is (previous node, expiry time). The timeout is fixed and the
     clock never goes back, so keeping records in insertion order keeps them
-    in expiry order, and `expire` only looks at the front.
+    in expiry order, and `expire` only looks at the front. Expiry, not the
+    horizon, bounds the size: eeabr calls `expire` at each forward-ant
+    arrival, after which a node holds only the last `timeout` seconds' ants.
     """
 
     def __init__(self, timeout: float):

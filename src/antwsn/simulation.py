@@ -94,8 +94,7 @@ class Simulation:
             self.kernel, self.topology, cfg, self.ledger,
             self.rng.radio, self.rng.mac,
             deliver=self.protocol.on_frame_received,
-            on_undelivered=self._undelivered,
-            on_mac_drop=self._mac_drop,
+            on_frame_lost=self._frame_lost,
         )
 
         self.kernel.on(kernel.ANT_LAUNCH, self._handle_ant_launch)
@@ -178,13 +177,9 @@ class Simulation:
 
     # -- medium callbacks ---------------------------------------------------
 
-    def _undelivered(self, frame: Frame, dst_dead: bool):
-        self.count("frames_undelivered")
-        self.protocol.on_frame_lost(frame, dst_dead)
-
-    def _mac_drop(self, frame: Frame, reason: str):
-        self.count(f"mac_drop_{reason}")
-        self.protocol.on_frame_lost(frame, False)
+    def _frame_lost(self, frame: Frame, reason: str):
+        self.count("frames_undelivered" if reason == "undelivered" else f"mac_drop_{reason}")
+        self.protocol.on_frame_lost(frame, reason)
 
     # -- surface used by protocols --------------------------------------------
 
@@ -251,12 +246,10 @@ class Simulation:
         """Cut the references that tie the finished run into cycles (the
         kernel's bound handlers, the medium's callbacks into this simulation
         and its protocol, and the protocol's link back here) and drop the
-        events left pending, which nothing will dispatch. The medium's
-        callbacks are the three that every medium takes."""
+        events left pending, which nothing will dispatch."""
         self.kernel._handlers.clear()
         self.kernel._heap.clear()
-        medium = self.medium
-        medium.deliver = medium.on_undelivered = medium.on_mac_drop = None
+        self.medium.deliver = self.medium.on_frame_lost = None
         self.protocol.sim = None
 
 

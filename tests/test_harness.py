@@ -87,6 +87,29 @@ class TestPlanValidation:
         with pytest.raises(ConfigError, match=message):
             ExperimentPlan(**{**SMALL, **bad})
 
+    @pytest.mark.parametrize("bad, message", [
+        (dict(protocols=(5,)), "protocol must be a string, got 5"),
+        (dict(protocols=("babr", None)), "protocol must be a string, got None"),
+        (dict(scenarios=(None,)), "scenario must be a string, got None"),
+        (dict(node_counts=("9",)), "nodes must be an integer, got '9'"),
+        (dict(node_counts=(True,)), "nodes must be an integer, got True"),
+        (dict(protocols="babr"), "plan protocols must be a non-empty tuple or list, got 'babr'"),
+        (dict(scenarios="static"), "plan scenarios must be a non-empty tuple or list, got 'static'"),
+        (dict(node_counts="9"), "plan node_counts must be a non-empty tuple or list, got '9'"),
+        (dict(node_counts=9), "plan node_counts must be a non-empty tuple or list, got 9"),
+        (dict(overrides=[("duration", 2.0)]), r"plan overrides must be a mapping with str keys"),
+        (dict(overrides={5: 2.0}), r"plan overrides must be a mapping with str keys, got \{5: 2.0\}"),
+    ])
+    def test_wrongly_typed_axis_or_override_rejected(self, bad, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentPlan(**{**SMALL, **bad})
+
+    def test_axes_given_as_lists_are_kept_as_tuples(self):
+        plan = ExperimentPlan(**{**SMALL, "protocols": ["BABR"], "node_counts": [9],
+                                 "scenarios": ["static"]})
+        assert (plan.protocols, plan.node_counts, plan.scenarios) == (("babr",), (9,),
+                                                                       ("static",))
+
     @pytest.mark.parametrize("axis, entries, repeated", [
         ("protocols", ("babr", "sc", "babr"), "'babr'"),
         ("protocols", ("babr", "BABR"), "'babr'"),

@@ -339,7 +339,8 @@ class TestSmartPriming:
         mid = sim.protocol.tables[1]
         before = sum(mid.column)
         frame = Frame(src=1, dst=2, kind=DATA, size_bits=400, payload=None)
-        sim.protocol.on_frame_lost(frame, dst_dead=True)
+        sim.ledger.charge(2, "tx", sim.ledger.residual[2])   # the addressee dies
+        sim.protocol.on_frame_lost(frame, "undelivered")
         assert mid.get(2) == 0.0
         assert mid.get(0) == pytest.approx(before)
         assert sim.counters["link_failures_rerouted"] == 1
@@ -349,8 +350,20 @@ class TestSmartPriming:
         mid = sim.protocol.tables[1]
         col = list(mid.column)
         frame = Frame(src=1, dst=2, kind=DATA, size_bits=400, payload=None)
-        sim.protocol.on_frame_lost(frame, dst_dead=False)
+        sim.protocol.on_frame_lost(frame, "undelivered")
         assert mid.column == col
+
+    @pytest.mark.parametrize("reason", ["busy", "energy", "dead"])
+    def test_mac_drop_to_a_dead_addressee_does_not_redistribute(self, reason):
+        # Only an aired unicast that its addressee missed tells of a dead link.
+        sim = build_sim("ieeabr", LINE3, sink=2)
+        mid = sim.protocol.tables[1]
+        col = list(mid.column)
+        frame = Frame(src=1, dst=2, kind=DATA, size_bits=400, payload=None)
+        sim.ledger.charge(2, "tx", sim.ledger.residual[2])
+        sim.protocol.on_frame_lost(frame, reason)
+        assert mid.column == col
+        assert sim.counters["link_failures_rerouted"] == 0
 
 
 class TestDataPipeline:

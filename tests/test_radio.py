@@ -129,17 +129,24 @@ class EventKinds:
 
 def build_medium(positions, initial=30.0, seed=1, **settings):
     """Quiet-channel fixture: zero disturbance, logging callbacks; `settings`
-    are further SimConfig fields."""
+    are further SimConfig fields. An undelivered frame is logged with
+    whether its addressee is dead, read from the ledger as ieeabr reads it;
+    a MAC drop with its reason."""
     sim = Simulator()
     ledger = EnergyLedger(len(positions), initial)
     log = {"delivered": [], "undelivered": [], "dropped": []}
     cfg = SimConfig(sigma_alpha=0.0, sigma_beta=0.0, **settings)
+
+    def lost(frame, reason):
+        if reason == "undelivered":
+            log["undelivered"].append((frame, not ledger.alive(frame.dst)))
+        else:
+            log["dropped"].append((frame, reason))
     medium = Medium(
         sim, from_points(positions, tx_radius=cfg.tx_radius, require_connected=False),
         cfg, ledger, RandomStream(seed, "radio"), RandomStream(seed, "mac"),
         deliver=lambda node, frame: log["delivered"].append((node, frame)),
-        on_undelivered=lambda frame, dead: log["undelivered"].append((frame, dead)),
-        on_mac_drop=lambda frame, reason: log["dropped"].append((frame, reason)),
+        on_frame_lost=lost,
     )
     return sim, medium, ledger, log
 
@@ -247,7 +254,7 @@ class TestMedium:
             log["dropped"].append((frame, reason))
             if frame is short:
                 medium.send(again)
-        medium.on_mac_drop = drop
+        medium.on_frame_lost = drop
         medium.send(long)
         sim.on("poke", lambda ev: medium.send(short))
         sim.schedule(0.05, "poke")

@@ -53,10 +53,16 @@ def connected_points(draw):
     return [(x - x0, y - y0) for x, y in points]
 
 
-def reference_medium(sim, topology, *args, **kwargs):
+def reference_medium(kernel, topology, cfg, ledger, rng_radio, rng_mac, deliver,
+                     on_frame_lost):
     """The reference medium, which takes node positions, built from the
-    topology that the production medium takes."""
-    return radio_reference.Medium(sim, topology.positions, *args, **kwargs)
+    topology that the production medium takes. Its two loss callbacks both
+    feed the one `on_frame_lost`: a MAC drop passes its reason through, and
+    an undelivered frame becomes the 'undelivered' reason."""
+    return radio_reference.Medium(
+        kernel, topology.positions, cfg, ledger, rng_radio, rng_mac, deliver,
+        on_undelivered=lambda frame, dst_dead: on_frame_lost(frame, "undelivered"),
+        on_mac_drop=on_frame_lost)
 
 
 def both_media(cfg, topology=None):
