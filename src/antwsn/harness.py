@@ -12,7 +12,7 @@ import io
 import itertools
 import json
 import statistics
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,12 +41,13 @@ class ExperimentPlan:
     overrides: dict = field(default_factory=dict)  # extra SimConfig knobs
 
     def __post_init__(self):
-        # Each axis: a non-empty tuple or list (not a bare string) of its field's type.
+        # Each axis: a non-empty sequence (not a bare string) of its field's type.
         for name, key, kind in (("protocols", "protocol", str), ("node_counts", "nodes", int),
                                 ("scenarios", "scenario", str)):
             axis = getattr(self, name)
-            if not isinstance(axis, (tuple, list)) or not axis:
-                raise ConfigError(f"plan {name} must be a non-empty tuple or list, got {axis!r}")
+            if not isinstance(axis, Sequence) or isinstance(axis, (str, bytes)) or not axis:
+                raise ConfigError(f"plan {name} must be a non-empty sequence, not a string; "
+                                  f"got {axis!r}")
             for x in axis:
                 check_type(key, x, kind)
             axis = tuple(x.lower() for x in axis) if kind is str else tuple(axis)

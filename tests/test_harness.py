@@ -93,10 +93,12 @@ class TestPlanValidation:
         (dict(scenarios=(None,)), "scenario must be a string, got None"),
         (dict(node_counts=("9",)), "nodes must be an integer, got '9'"),
         (dict(node_counts=(True,)), "nodes must be an integer, got True"),
-        (dict(protocols="babr"), "plan protocols must be a non-empty tuple or list, got 'babr'"),
-        (dict(scenarios="static"), "plan scenarios must be a non-empty tuple or list, got 'static'"),
-        (dict(node_counts="9"), "plan node_counts must be a non-empty tuple or list, got '9'"),
-        (dict(node_counts=9), "plan node_counts must be a non-empty tuple or list, got 9"),
+        (dict(protocols="babr"), "plan protocols must be a non-empty sequence, not a string; "
+                                 "got 'babr'"),
+        (dict(scenarios="static"), "plan scenarios must be .*; got 'static'"),
+        (dict(node_counts="9"), "plan node_counts must be .*; got '9'"),
+        (dict(node_counts=b"\t"), r"plan node_counts must be .*; got b'\\t'"),
+        (dict(node_counts=9), "plan node_counts must be .*; got 9"),
         (dict(overrides=[("duration", 2.0)]), r"plan overrides must be a mapping with str keys"),
         (dict(overrides={5: 2.0}), r"plan overrides must be a mapping with str keys, got \{5: 2.0\}"),
     ])
@@ -104,8 +106,8 @@ class TestPlanValidation:
         with pytest.raises(ConfigError, match=message):
             ExperimentPlan(**{**SMALL, **bad})
 
-    def test_axes_given_as_lists_are_kept_as_tuples(self):
-        plan = ExperimentPlan(**{**SMALL, "protocols": ["BABR"], "node_counts": [9],
+    def test_axes_given_as_other_sequences_are_kept_as_tuples(self):
+        plan = ExperimentPlan(**{**SMALL, "protocols": ["BABR"], "node_counts": range(9, 10),
                                  "scenarios": ["static"]})
         assert (plan.protocols, plan.node_counts, plan.scenarios) == (("babr",), (9,),
                                                                        ("static",))

@@ -41,9 +41,10 @@ def check_shares(shares):
     assert math.isclose(sum(shares.values()), 1.0)
 
 
-def test_a_small_cell_gives_shares_of_known_layers():
-    report = layer_sample.profile(SMALL_CELL, runs=3, min_samples=20)
-    assert len(report["runs"]) == 3
+def test_a_small_cell_gives_shares_of_known_layers(monkeypatch):
+    monkeypatch.setattr(layer_sample, "MIN_SAMPLES", 20)
+    report = layer_sample.profile(SMALL_CELL)
+    assert len(report["runs"]) == layer_sample.RUNS
     for run in report["runs"]:
         assert run["samples"] >= 20
         check_shares(run["shares"])

@@ -9,6 +9,8 @@ addressee, or still queued at the horizon. A loss booked twice, or reported
 twice, fails here even where the event schedule does not move.
 """
 
+import hashlib
+import json
 from collections import Counter
 
 import pytest
@@ -16,20 +18,18 @@ import pytest
 from antwsn.config import PROTOCOL_NAMES, SimConfig
 from antwsn.radio import BROADCAST
 from antwsn.simulation import Simulation
+from test_golden import COUNTERS, SEED, VARIANTS
 
 REASONS = ("busy", "energy", "dead", "undelivered")
 
 CELLS = {
-    # Most nodes die: dead and energy drops, and unicasts to dead addressees.
-    "drained": dict(nodes=25, duration=20.0, initial_energy=0.05, ant_interval=0.5),
+    # The golden drained cell: most nodes die, so dead and energy drops, and
+    # unicasts to dead addressees (ieeabr's dead-next-hop redistributions).
+    "drained": VARIANTS["drained"],
     # No retries under an ant storm: a busy channel drops the frame at once.
     "busy": dict(nodes=25, duration=10.0, ant_interval=0.08, traffic_rate=0.1,
                  max_retries=0),
 }
-
-# ieeabr's dead-next-hop redistributions in the golden drained cell
-# (tests/test_golden.py, seed 3), which only 'undelivered' losses trigger.
-GOLDEN_DRAINED_REROUTED = 57
 
 
 class LossProbe:
@@ -59,7 +59,7 @@ class LossProbe:
 
 
 def run_probed(protocol, cell):
-    sim = Simulation(SimConfig(protocol=protocol, seed=3, **CELLS[cell]))
+    sim = Simulation(SimConfig(protocol=protocol, seed=SEED, **CELLS[cell]))
     probe = LossProbe(sim)
     result = sim.run()
     queued = [frame for queue in sim.medium._queues for frame in queue]
@@ -88,14 +88,16 @@ def test_each_loss_reaches_the_protocol_once_and_is_booked_once(protocol, cell):
     unicasts = [frame for frame in probe.sent if frame.dst != BROADCAST]
     assert [ends[id(frame)] for frame in unicasts] == [1] * len(unicasts)
 
+    # Under the probe, a golden cell books the counters pinned there, among
+    # them ieeabr's link_failures_rerouted.
+    golden = COUNTERS.get((protocol, "static", cell))
+    if golden is not None:
+        counters = sorted(result.counters.items())
+        assert hashlib.sha256(json.dumps(counters).encode()).hexdigest()[:16] == golden
+
 
 def test_the_cells_reach_every_reason():
     reasons = {cell: Counter(r for _, r in run_probed("sc", cell)[1].lost)
                for cell in CELLS}
     assert all(reasons["drained"][r] > 0 for r in ("energy", "dead", "undelivered"))
     assert reasons["busy"]["busy"] > 0
-
-
-def test_ieeabr_reroutes_as_in_the_golden_drained_run():
-    result, _, _ = run_probed("ieeabr", "drained")
-    assert result.counters["link_failures_rerouted"] == GOLDEN_DRAINED_REROUTED

@@ -12,7 +12,7 @@ A run builds the cell and runs it while `signal.setitimer(ITIMER_PROF)`, a
 timer on this process's own CPU time, raises SIGPROF every INTERVAL_S (the
 kernel delivers it at most once per scheduler tick). Each sample takes
 the innermost stack frame that runs antwsn code and maps it to a layer by its
-file and `co_qualname`:
+file, and in radio.py by the function it runs:
 
     kernel     kernel.py
     energy     radio.py: EnergyLedger.* and Medium.settle_idle
@@ -29,7 +29,8 @@ A sample with no antwsn frame on its stack is counted as outside and left
 out of the shares. A cell too small to take MIN_SAMPLES samples in one
 build and run is built and run again, afresh, until it has (at most
 MAX_REPEATS times). The report gives each layer's mean share over RUNS runs
-with its min and max, and the TOP functions that took the most samples.
+with its min and max, and the TOP functions that took the most samples, each
+named `file:line(function)` as in cProfile's reports.
 
 Where a sample lands: CPython 3.11 runs a Python signal handler at the next
 eval-breaker check of its interpreter loop, not when the signal arrives. So
@@ -47,11 +48,13 @@ import os
 import signal
 import statistics
 import sys
+import types
 from collections import Counter
 from contextlib import contextmanager
 
 import antwsn
 from antwsn.config import ConfigError, config_from_mapping, parse_kv_text
+from antwsn.radio import EnergyLedger, Medium
 from antwsn.simulation import Simulation
 
 LAYERS = ("kernel", "radio", "energy", "routing", "protocols", "harness")
@@ -63,27 +66,47 @@ TOP = 12
 
 _PACKAGE = os.path.dirname(os.path.abspath(antwsn.__file__))
 _MODULE_LAYERS = {"kernel.py": "kernel", "radio.py": "radio", "routing.py": "routing"}
-_layer_cache = {}
 
 
-def layer_of(code) -> str | None:
-    """The layer a code object belongs to, or None outside antwsn."""
+def _codes(functions):
+    """The code objects of `functions` and of everything defined inside them."""
+    stack = [f.__code__ for f in functions]
+    while stack:
+        code = stack.pop()
+        yield code
+        stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+
+
+_ENERGY_CODES = frozenset(_codes(
+    [f for f in vars(EnergyLedger).values() if isinstance(f, types.FunctionType)]
+    + [Medium.settle_idle]))
+_where_cache = {}   # code -> (layer, function name), or None outside antwsn
+
+
+def _where(code):
     try:
-        return _layer_cache[code]
+        return _where_cache[code]
     except KeyError:
         pass
     rel = os.path.relpath(os.path.abspath(code.co_filename), _PACKAGE)
     if rel.startswith(".."):
-        layer = None
-    elif rel.startswith("protocols" + os.sep):
-        layer = "protocols"
-    elif rel == "radio.py" and (code.co_qualname.startswith("EnergyLedger.")
-                                or code.co_qualname == "Medium.settle_idle"):
-        layer = "energy"
+        where = None
     else:
-        layer = _MODULE_LAYERS.get(rel, "harness")
-    _layer_cache[code] = layer
-    return layer
+        if code in _ENERGY_CODES:
+            layer = "energy"
+        elif rel.startswith("protocols" + os.sep):
+            layer = "protocols"
+        else:
+            layer = _MODULE_LAYERS.get(rel, "harness")
+        where = layer, f"{rel}:{code.co_firstlineno}({code.co_name})"
+    _where_cache[code] = where
+    return where
+
+
+def layer_of(code) -> str | None:
+    """The layer a code object belongs to, or None outside antwsn."""
+    where = _where(code)
+    return where and where[0]
 
 
 class LayerSampler:
@@ -91,7 +114,7 @@ class LayerSampler:
 
     def __init__(self):
         self.layers = Counter()
-        self.functions = Counter()   # (layer, co_qualname) -> samples
+        self.functions = Counter()   # (layer, function name) -> samples
         self.outside = 0
 
     @property
@@ -105,11 +128,10 @@ class LayerSampler:
 
     def _on_signal(self, signum, frame):
         while frame is not None:
-            code = frame.f_code
-            layer = layer_of(code)
-            if layer is not None:
-                self.layers[layer] += 1
-                self.functions[layer, code.co_qualname] += 1
+            where = _where(frame.f_code)
+            if where is not None:
+                self.layers[where[0]] += 1
+                self.functions[where] += 1
                 return
             frame = frame.f_back
         self.outside += 1
@@ -127,24 +149,23 @@ class LayerSampler:
             signal.signal(signal.SIGPROF, previous)
 
 
-def sample_run(cfg, interval_s: float, min_samples: int) -> LayerSampler:
+def sample_run(cfg) -> LayerSampler:
     """One run: build and run the cell, again while it has fewer than
-    `min_samples` samples, at most MAX_REPEATS times in all."""
+    MIN_SAMPLES samples, at most MAX_REPEATS times in all."""
     sampler = LayerSampler()
-    with sampler.sampling(interval_s):
+    with sampler.sampling(INTERVAL_S):
         for _ in range(MAX_REPEATS):
             Simulation(cfg).run()
-            if sampler.samples >= min_samples:
+            if sampler.samples >= MIN_SAMPLES:
                 break
     if not sampler.samples:
         raise RuntimeError(f"no sample in {MAX_REPEATS} runs of the cell")
     return sampler
 
 
-def profile(cfg, runs: int = RUNS, interval_s: float = INTERVAL_S,
-            min_samples: int = MIN_SAMPLES) -> dict:
-    """Layer shares of `runs` sampled runs, their mean, min and max."""
-    samplers = [sample_run(cfg, interval_s, min_samples) for _ in range(runs)]
+def profile(cfg) -> dict:
+    """Layer shares of RUNS sampled runs, their mean, min and max."""
+    samplers = [sample_run(cfg) for _ in range(RUNS)]
     shares = [s.shares() for s in samplers]
     functions = sum((s.functions for s in samplers), Counter())
     total = sum(functions.values())
@@ -183,7 +204,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    report = profile(cfg, min_samples=MIN_SAMPLES)
+    report = profile(cfg)
     print(_report(" ".join(f"{k}={v}" for k, v in mapping.items()) or "default config",
                   report))
     return 0
