@@ -1,12 +1,22 @@
 """Run configuration: every knob of a single simulation, plus the flat
 key = value file format that surfaces all of them.
 
+Each knob declares its type, default and accepted range once, on its
+`SimConfig` field, and `SimConfig.__post_init__` checks every field in one
+loop: its type, that a float is finite, that a name is one of its choices, and
+its bounds. A value out of range fails with a message that names the key, the
+bound and the given value, such as `gamma must be <= 4, got 4.5`. `validate`
+keeps the checks that involve more than one knob. Names (`protocol`, `layout`,
+`scenario`) are case-insensitive in configs, flags and plans alike, and are
+stored lower-cased.
+
 Unknown keys are rejected so a typo can never silently fall back to a default.
 """
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+import operator
+from dataclasses import dataclass, field, fields
 
 PROTOCOL_NAMES = ("babr", "sc", "ff", "fp", "eeabr", "ieeabr")
 LAYOUTS = ("grid", "random-square")
@@ -50,144 +60,99 @@ def check_type(name: str, value, kind: type, optional: bool = False):
         raise ConfigError(f"{name} must be {noun}, got {value!r}")
 
 
+_BOUND_TESTS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+
+
+def knob(default, *, gt=None, ge=None, lt=None, le=None, choices=()):
+    """A `SimConfig` field with its default and its accepted values: bounds,
+    each open (gt, lt) or closed (ge, le), or the names a str knob may take."""
+    bounds = tuple((sign, bound) for sign, bound in ((">", gt), (">=", ge), ("<", lt), ("<=", le))
+                   if bound is not None)
+    return field(default=default, metadata={"bounds": bounds, "choices": choices})
+
+
 @dataclass
 class SimConfig:
     # scenario
-    protocol: str = "ieeabr"
-    nodes: int = 49
-    layout: str = "random-square"
-    scenario: str = "static"
-    duration: float = 100.0
+    protocol: str = knob("ieeabr", choices=PROTOCOL_NAMES)
+    nodes: int = knob(49, ge=2)
+    layout: str = knob("random-square", choices=LAYOUTS)
+    scenario: str = knob("static", choices=SCENARIOS)
+    duration: float = knob(100.0, gt=0)
     seed: int = 1
-    initial_energy: float | None = None   # None: 30 J static, 60 J dynamic
-    traffic_rate: float = 0.5              # data events per second per source
+    initial_energy: float | None = knob(None, gt=0)   # None: 30 J static, 60 J dynamic
+    traffic_rate: float = knob(0.5, gt=0)             # data events per second per source
     data_ttl_factor: float = 4.0            # data packet hop budget = factor * nodes
-    grid_spacing: float = 20.0
-    max_topology_retries: int = 1000
+    grid_spacing: float = knob(20.0, gt=0)
+    max_topology_retries: int = knob(1000, ge=1)
     # sink mobility (dynamic scenario)
-    sink_radius_frac: float = 0.25
-    sink_update_period: float = 1.0
+    sink_radius_frac: float = knob(0.25, ge=0)
+    sink_update_period: float = knob(1.0, gt=0)
     # radio
-    p_transmit: float = 1.0
-    gamma: float = 2.0
-    sigma_alpha: float = 0.05
-    sigma_beta: float = 2e-4
-    tx_radius: float = 35.0
-    rx_threshold: float | None = None       # None: derived from tx_radius
+    p_transmit: float = knob(1.0, gt=0)
+    gamma: float = knob(2.0, ge=2, le=4)
+    sigma_alpha: float = knob(0.05, ge=0)
+    sigma_beta: float = knob(2e-4, ge=0)
+    tx_radius: float = knob(35.0, gt=0)
+    rx_threshold: float | None = knob(None, gt=0)   # None: derived from tx_radius
     # MAC / link
-    bitrate: float = 40_000.0               # bit/s
-    cw_init: int = 32                       # first backoff window, in frame airtimes
-    max_retries: int = 5
-    ant_frame_bytes: int = 20
-    data_frame_bytes: int = 50
+    bitrate: float = knob(40_000.0, gt=0)           # bit/s
+    cw_init: int = knob(32, ge=1)                   # first backoff window, in frame airtimes
+    max_retries: int = knob(5, ge=0)
+    ant_frame_bytes: int = knob(20, ge=1)
+    data_frame_bytes: int = knob(50, ge=1)
     # energy model
-    e_tx_per_bit: float = 1e-6              # J/bit
-    e_rx_per_bit: float = 5e-7              # J/bit
-    e_idle_per_s: float = 0.0               # J/s
+    e_tx_per_bit: float = knob(1e-6, ge=0)          # J/bit
+    e_rx_per_bit: float = knob(5e-7, ge=0)          # J/bit
+    e_idle_per_s: float = knob(0.0, ge=0)           # J/s
     # ant machinery
-    ant_interval: float = 2.0
-    cache_timeout: float = 3.0
-    ant_cap_multiplier: int = 5
-    ff_delay_max: float = 0.05
+    ant_interval: float = knob(2.0, gt=0)
+    cache_timeout: float = knob(3.0, gt=0)
+    ant_cap_multiplier: int = knob(5, ge=1)
+    ff_delay_max: float = knob(0.05, ge=0)
     # trip-time model (BABR family)
-    eta: float = 0.2
-    trip_window: int = 10
-    conf_gamma: float = 0.75
+    eta: float = knob(0.2, gt=0, lt=1)
+    trip_window: int = knob(10, ge=1)
+    conf_gamma: float = knob(0.75, gt=0, lt=1)
     c1: float = 0.7
     c2: float = 0.3
     # pheromone family
-    alpha: float = 1.0
-    beta: float = 1.0
-    rho: float = 0.1
-    phi: float = 1.0
-    dtau_max: float = 1.0
-    tau0: float | None = None  # fresh pheromone per entry; None: 1/n
+    alpha: float = knob(1.0, ge=0)
+    beta: float = knob(1.0, ge=0)
+    rho: float = knob(0.1, gt=0, lt=1)
+    phi: float = knob(1.0, gt=0)
+    dtau_max: float = knob(1.0, ge=0)
+    tau0: float | None = knob(None, gt=0)  # fresh pheromone per entry; None: 1/n
     # SC
-    sc_beta: float = 1.0
+    sc_beta: float = knob(1.0, ge=-SC_BETA_MAX, le=SC_BETA_MAX)
 
     def __post_init__(self):
-        for name, kind, optional in _FIELD_KINDS:
-            check_type(name, getattr(self, name), kind, optional)
-        self.protocol = self.protocol.lower()
+        for name, (kind, optional, bounds, choices) in _FIELDS.items():
+            value = getattr(self, name)
+            check_type(name, value, kind, optional)
+            if value is None:
+                continue
+            # nan passes every bound, since each comparison is false.
+            if kind is float and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
+            if choices:
+                if value.lower() not in choices:
+                    raise ConfigError(f"{name} must be one of {choices}, got {value!r}")
+                setattr(self, name, value.lower())
+            for sign, bound in bounds:
+                if not _BOUND_TESTS[sign](value, bound):
+                    raise ConfigError(f"{name} must be {sign} {bound:g}, got {value!r}")
         self.validate()
 
     def validate(self):
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            # nan passes every range check below, since each comparison is false.
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
-        if self.protocol not in PROTOCOL_NAMES:
-            raise ConfigError(f"unknown protocol {self.protocol!r}, expected one of {PROTOCOL_NAMES}")
-        if self.layout not in LAYOUTS:
-            raise ConfigError(f"unknown layout {self.layout!r}")
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {self.scenario!r}")
-        if self.nodes < 2:
-            raise ConfigError("nodes must be >= 2")
+        """The checks that involve more than one knob; `__post_init__` has
+        checked each knob on its own."""
         if self.layout == "grid" and math.isqrt(self.nodes) ** 2 != self.nodes:
             raise ConfigError(f"grid layout needs a perfect-square node count, got {self.nodes}")
-        if self.duration <= 0:
-            raise ConfigError("duration must be > 0")
-        if self.traffic_rate <= 0:
-            raise ConfigError("traffic_rate must be > 0")
-        if self.initial_energy is not None and self.initial_energy <= 0:
-            raise ConfigError("initial_energy must be > 0")
         if int(self.data_ttl_factor * self.nodes) < 1:
             raise ConfigError("data_ttl_factor * nodes must give a hop budget >= 1")
-        if self.grid_spacing <= 0:
-            raise ConfigError("grid_spacing must be > 0")
-        if self.sink_radius_frac < 0:
-            raise ConfigError("sink_radius_frac must be >= 0")
-        if self.max_topology_retries < 1:
-            raise ConfigError("max_topology_retries must be >= 1")
-        if self.sink_update_period <= 0:
-            raise ConfigError("sink_update_period must be > 0")
-        if self.p_transmit <= 0:
-            raise ConfigError("p_transmit must be > 0")
-        if not (2.0 <= self.gamma <= 4.0):
-            raise ConfigError("gamma must lie in [2, 4]")
-        if self.sigma_alpha < 0 or self.sigma_beta < 0:
-            raise ConfigError("disturbance sigmas must be >= 0")
-        if self.tx_radius <= 0:
-            raise ConfigError("tx_radius must be > 0")
-        if self.rx_threshold is not None and self.rx_threshold <= 0:
-            raise ConfigError("rx_threshold must be > 0")
-        if self.bitrate <= 0:
-            raise ConfigError("bitrate must be > 0")
-        if self.cw_init < 1 or self.max_retries < 0:
-            raise ConfigError("cw_init must be >= 1 and max_retries >= 0")
-        if self.ant_frame_bytes < 1 or self.data_frame_bytes < 1:
-            raise ConfigError("ant_frame_bytes and data_frame_bytes must be >= 1")
-        if min(self.e_tx_per_bit, self.e_rx_per_bit, self.e_idle_per_s) < 0:
-            raise ConfigError("energy rates must be >= 0")
-        if self.ff_delay_max < 0:
-            raise ConfigError("ff_delay_max must be >= 0")
         if abs(self.c1 + self.c2 - 1.0) > 1e-9:
             raise ConfigError("reinforcement weights c1 + c2 must equal 1")
-        if not (0 < self.eta < 1):
-            raise ConfigError("eta must lie in (0, 1)")
-        if not (0 < self.rho < 1):
-            raise ConfigError("rho must lie in (0, 1)")
-        if self.phi <= 0:
-            raise ConfigError("phi must be > 0")
-        if self.dtau_max < 0:
-            raise ConfigError("dtau_max must be >= 0")
-        if self.tau0 is not None and self.tau0 <= 0:
-            raise ConfigError("tau0 must be > 0")
-        if self.ant_cap_multiplier < 1:
-            raise ConfigError("ant_cap_multiplier must be >= 1")
-        if not (0 < self.conf_gamma < 1):
-            raise ConfigError("conf_gamma must lie in (0, 1)")
-        if self.ant_interval <= 0 or self.cache_timeout <= 0:
-            raise ConfigError("ant_interval and cache_timeout must be > 0")
-        if self.trip_window < 1:
-            raise ConfigError("trip_window must be >= 1")
-        if abs(self.sc_beta) > SC_BETA_MAX:
-            raise ConfigError(f"sc_beta must lie in [-{SC_BETA_MAX:g}, {SC_BETA_MAX:g}], "
-                              f"got {self.sc_beta!r}")
-        if self.alpha < 0 or self.beta < 0:
-            raise ConfigError("alpha and beta must be >= 0")
         visibility_log = -math.log(VISIBILITY_FLOOR * self.energy_budget)
         exponent = (self.alpha * max(0.0, self.trail_log_bound())
                     + self.beta * max(0.0, visibility_log))
@@ -231,27 +196,21 @@ class SimConfig:
         return self.data_frame_bytes * 8
 
 
-_FIELD_NAMES = {f.name for f in fields(SimConfig)}
-_INT_FIELDS = {f.name for f in fields(SimConfig) if f.type is int}
-_FLOAT_FIELDS = tuple(f.name for f in fields(SimConfig) if f.type in (float, float | None))
-# (name, kind, None allowed) per field; every field is an int, a float, an
-# optional float or a str.
-_FIELD_KINDS = tuple((f.name, float if f.name in _FLOAT_FIELDS else f.type,
-                      f.type == float | None) for f in fields(SimConfig))
+# name -> (kind, None allowed, bounds, choices) for every field, in order.
+# Every field is an int, a float, an optional float or a str.
+_FIELDS = {f.name: (float if f.type == float | None else f.type, f.type == float | None,
+                    f.metadata.get("bounds", ()), f.metadata.get("choices", ()))
+           for f in fields(SimConfig)}
 
 
 def _convert(key: str, raw: str):
-    if key in _INT_FIELDS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"key {key!r} expects an integer, got {raw!r}") from None
-    if key in _FLOAT_FIELDS:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"key {key!r} expects a number, got {raw!r}") from None
-    return raw
+    kind = _FIELDS[key][0] if key in _FIELDS else str
+    if kind is str:
+        return raw
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"key {key!r} expects {_KINDS[kind][1]}, got {raw!r}") from None
 
 
 def parse_kv_text(text: str) -> dict:
@@ -277,7 +236,7 @@ def parse_kv_text(text: str) -> dict:
 def config_from_mapping(mapping: dict) -> SimConfig:
     values = {}
     for key, raw in mapping.items():
-        if key not in _FIELD_NAMES:
+        if key not in _FIELDS:
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = _convert(key, raw) if isinstance(raw, str) else raw
     return SimConfig(**values)

@@ -15,7 +15,7 @@ PROTOCOLS = {cls.name: cls for cls in (BABR, SC, FF, FP, EEABR, IEEABR)}
 
 def make_protocol(name: str, sim) -> Protocol:
     try:
-        cls = PROTOCOLS[name.lower()]
+        cls = PROTOCOLS[name]
     except KeyError:
         raise ValueError(f"unknown protocol {name!r}; choices: {sorted(PROTOCOLS)}") from None
     return cls(sim)

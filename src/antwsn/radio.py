@@ -58,9 +58,11 @@ class EnergyLedger:
     a float subtraction, rounded to the residual's precision, so
     sum(initial - residual) == sum(spent_*) holds only up to that rounding:
     a charge below half an ulp of the residual is booked in `spent` and
-    leaves the residual unchanged. In real runs the gap stays near 1e-11
-    relative; for `EnergyLedger(5, 1.0).charge(0, "tx", 1e-30)` alone,
-    `conservation_gap()` is 1.0. A node with residual 0 is dead and stays
+    leaves the residual unchanged. Each debit's rounding is at the scale of
+    the node's budget, so `conservation_gap()` measures the gap against the
+    network's budget, `initial * n`, not against the spend, which a large
+    budget can dwarf. For `EnergyLedger(5, 1.0).charge(0, "tx", 1e-30)`
+    alone it is 1e-30 / 5. A node with residual 0 is dead and stays
     dead. `alive_bits` is the set of live nodes as an int bitset (bit i =
     node i); `charge` clears a node's bit when it takes the node's last joule.
     """
@@ -103,11 +105,10 @@ class EnergyLedger:
         return float(self.initial * self.n - np.sum(self.residual))
 
     def conservation_gap(self) -> float:
-        """Relative difference between consumed energy and the category sums."""
-        consumed = self.total_consumed()
-        spent = self.total_spent()
-        scale = max(abs(consumed), abs(spent), 1e-30)
-        return abs(consumed - spent) / scale
+        """Difference between consumed energy and the category sums, relative
+        to the network's budget."""
+        scale = max(self.initial * self.n, 1e-30)
+        return abs(self.total_consumed() - self.total_spent()) / scale
 
 
 @dataclass(eq=False, slots=True)   # two transmissions with equal fields are still two frames

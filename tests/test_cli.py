@@ -63,6 +63,14 @@ class TestRun:
         assert code == 0, err
         assert "protocol=babr nodes=16" in out
 
+    def test_name_flags_are_case_insensitive(self, capsys):
+        # The same run as with lower-case names, down to the last digit.
+        code, out, err = run_cli(capsys, "run", "--protocol", "BABR", "--scenario", "STATIC",
+                                 *FAST[:2], "--layout", "Grid", *FAST[4:])
+        assert code == 0, err
+        assert out == run_cli(capsys, "run", "--protocol", "babr", "--scenario", "static",
+                              *FAST)[1]
+
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "run", "--config", "/no/such/file.conf")
         assert code == 1

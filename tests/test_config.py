@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 
 import pytest
@@ -37,6 +38,15 @@ class TestDefaults:
 
     def test_protocol_name_is_case_insensitive(self):
         assert SimConfig(protocol="IEEABR").protocol == "ieeabr"
+
+    @pytest.mark.parametrize("key, given, stored", [
+        ("scenario", "STATIC", "static"),
+        ("scenario", "Dynamic", "dynamic"),
+        ("layout", "Grid", "grid"),
+        ("layout", "RANDOM-Square", "random-square"),
+    ])
+    def test_layout_and_scenario_names_are_case_insensitive(self, key, given, stored):
+        assert getattr(SimConfig(**{key: given}, nodes=9), key) == stored
 
     def test_replace_returns_validated_copy(self):
         cfg = SimConfig()
@@ -139,6 +149,73 @@ class TestValidation:
             SimConfig(protocol="sc", nodes=9, sc_beta=710.0)
 
 
+# (key, side, bound): every single-knob bound, written out here rather than
+# read from the fields, so that a bound dropped from or mistyped on its field
+# fails. An int bound marks an int knob.
+BOUNDS = [
+    ("nodes", ">=", 2),
+    ("duration", ">", 0.0),
+    ("initial_energy", ">", 0.0),
+    ("traffic_rate", ">", 0.0),
+    ("grid_spacing", ">", 0.0),
+    ("max_topology_retries", ">=", 1),
+    ("sink_radius_frac", ">=", 0.0),
+    ("sink_update_period", ">", 0.0),
+    ("p_transmit", ">", 0.0),
+    ("gamma", ">=", 2.0),
+    ("gamma", "<=", 4.0),
+    ("sigma_alpha", ">=", 0.0),
+    ("sigma_beta", ">=", 0.0),
+    ("tx_radius", ">", 0.0),
+    ("rx_threshold", ">", 0.0),
+    ("bitrate", ">", 0.0),
+    ("cw_init", ">=", 1),
+    ("max_retries", ">=", 0),
+    ("ant_frame_bytes", ">=", 1),
+    ("data_frame_bytes", ">=", 1),
+    ("e_tx_per_bit", ">=", 0.0),
+    ("e_rx_per_bit", ">=", 0.0),
+    ("e_idle_per_s", ">=", 0.0),
+    ("ant_interval", ">", 0.0),
+    ("cache_timeout", ">", 0.0),
+    ("ant_cap_multiplier", ">=", 1),
+    ("ff_delay_max", ">=", 0.0),
+    ("eta", ">", 0.0),
+    ("eta", "<", 1.0),
+    ("trip_window", ">=", 1),
+    ("conf_gamma", ">", 0.0),
+    ("conf_gamma", "<", 1.0),
+    ("alpha", ">=", 0.0),
+    ("beta", ">=", 0.0),
+    ("rho", ">", 0.0),
+    ("rho", "<", 1.0),
+    ("phi", ">", 0.0),
+    ("dtau_max", ">=", 0.0),
+    ("tau0", ">", 0.0),
+    ("sc_beta", ">=", -700.0),
+    ("sc_beta", "<=", 700.0),
+]
+
+
+class TestBounds:
+    @pytest.mark.parametrize("key, side, bound", BOUNDS)
+    def test_boundary_value_follows_the_side(self, key, side, bound):
+        if side in (">=", "<="):
+            assert getattr(SimConfig(**{key: bound}), key) == bound
+        else:
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"{key} must be {side} {bound:g}, got {bound!r}")):
+                SimConfig(**{key: bound})
+
+    @pytest.mark.parametrize("key, side, bound", BOUNDS)
+    def test_value_past_the_bound_is_rejected_with_key_and_value(self, key, side, bound):
+        outward = -1 if side in (">", ">=") else 1
+        past = bound + outward if isinstance(bound, int) else math.nextafter(bound, outward * math.inf)
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{key} must be {side} {bound:g}, got {past!r}")):
+            SimConfig(**{key: past})
+
+
 class TestKvFormat:
     def test_parse_with_comments_and_blanks(self):
         text = """
@@ -191,3 +268,9 @@ class TestKvFormat:
         p.write_text("protocol = fp\nnodes = 9\nlayout = grid\nseed = 3\n")
         cfg = load_config(str(p))
         assert (cfg.protocol, cfg.nodes, cfg.layout, cfg.seed) == ("fp", 9, "grid", 3)
+
+    def test_names_in_a_config_file_are_case_insensitive(self, tmp_path):
+        p = tmp_path / "run.conf"
+        p.write_text("protocol = FP\nnodes = 9\nlayout = Grid\nscenario = DYNAMIC\n")
+        cfg = load_config(str(p))
+        assert (cfg.protocol, cfg.layout, cfg.scenario) == ("fp", "grid", "dynamic")

@@ -4,7 +4,7 @@ either rejected with a clear error, or it runs and keeps the invariants of
 
 Each draw of the first test takes 2-16 nodes, at most 4 s of virtual time and
 1-8 knobs, each set to one of its extreme values: the bounds that
-`SimConfig.validate` accepts, plus a few just past them. A rejected config
+`SimConfig` accepts, plus a few just past them. A rejected config
 raises `ConfigError`, or `TopologyError` when no connected field exists for
 its radio range and retry budget; both are input errors with their own exit
 code in the CLI. A crash that needs two knobs together is rarely drawn that

@@ -63,6 +63,14 @@ class TestEveryProtocolRuns:
         assert r.conservation_rel_gap <= 1e-9
         assert all(0 <= res <= 60.0 for res in r.residuals)
 
+    def test_energy_books_balance_when_the_budget_dwarfs_the_spend(self):
+        # Each debit rounds a residual at the scale of the 1e3 J budget, and
+        # the run spends 2.4e-4 J: a gap taken against the spend read 2.5e-9.
+        r = run_single(SimConfig(protocol="babr", nodes=2, duration=0.5, initial_energy=1000,
+                                 ant_frame_bytes=1, ant_interval=0.05, alpha=0, seed=1))
+        assert r.energy_j > 0
+        assert r.conservation_rel_gap <= 1e-9
+
     def test_generated_count_is_protocol_independent(self, grid_runs):
         # Traffic comes from its own stream: switching protocol must not
         # change what the sensors observe.

@@ -95,7 +95,7 @@ class TestEnergyLedger:
         assert led.spent["tx"][0] == 1e-30
         assert led.residual[0] == 1.0
         assert led.total_consumed() == 0.0
-        assert led.conservation_gap() == 1.0
+        assert led.conservation_gap() == 1e-30 / 5.0   # relative to the 5 J budget
 
     def test_negative_charge_rejected(self):
         led = EnergyLedger(1, 2.0)
