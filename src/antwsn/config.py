@@ -114,8 +114,8 @@ class SimConfig:
     eta: float = knob(0.2, gt=0, lt=1)
     trip_window: int = knob(10, ge=1)
     conf_gamma: float = knob(0.75, gt=0, lt=1)
-    c1: float = 0.7
-    c2: float = 0.3
+    c1: float = knob(0.7, ge=0)
+    c2: float = knob(0.3, ge=0)
     # pheromone family
     alpha: float = knob(1.0, ge=0)
     beta: float = knob(1.0, ge=0)

@@ -10,11 +10,11 @@ subclasses define table semantics and the ant lifecycle; data-packet
 plumbing lives here. A protocol airs a frame through `sim.send_frame` with a
 kind and the object it carries; the run sizes the frame from its kind.
 A forward-ant carries its `Ant`, a data frame its `DataPacket`, and FP's
-data-ant an `Ant` whose `packet` is the `DataPacket`. A backward-ant carries
-`(ant, pos)` in the babr family, `pos` indexing the path entry it goes to,
-and `(uid, dtau, bd)` in the eeabr family. Timers are not a hook: the flood
-protocols (FF and its subclass FP) are the only ones that set any, and FF
-registers its own PROTO_TIMER handler with the kernel.
+data-ant an `Ant` whose shared `flood.packet` is the `DataPacket`. A
+backward-ant carries `(ant, pos)` in the babr family, `pos` indexing the
+path entry it goes to, and `(uid, dtau, bd)` in the eeabr family. Timers are
+not a hook: the flood protocols (FF and its subclass FP) are the only ones
+that set any, and FF registers its own PROTO_TIMER handler with the kernel.
 
 The radio hands every node that heard a frame to `on_frame_received`,
 including the nodes that overheard a unicast addressed to another node.

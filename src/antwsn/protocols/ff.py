@@ -6,7 +6,7 @@ the basic protocol.
 
 from ..kernel import PROTO_TIMER
 from ..radio import BROADCAST, FORWARD_ANT
-from ..routing import Ant
+from ..routing import Ant, Flood
 from .babr import PathReinforceProtocol
 
 
@@ -23,13 +23,6 @@ class FF(PathReinforceProtocol):
 
     def __init__(self, sim):
         super().__init__(sim)
-        # Flood ant uid -> the nodes that have seen it, as an int bitset (bit
-        # i = node i), kept for the whole run. A node forks and rebroadcasts a
-        # uid only on its first sight of it, and the sink never rebroadcasts,
-        # so every copy's path holds distinct nodes. No time window can
-        # replace this: under MAC queueing a duplicate copy reaches a node
-        # tens of seconds after its first one.
-        self._seen = {}
         # (node, ant uid) -> scheduled rebroadcast, so bounded by live timers.
         self._pending = {}
         self._reinforced = set()    # nodes whose sink column has real opinions
@@ -42,12 +35,12 @@ class FF(PathReinforceProtocol):
     # -- flood machinery (shared with the data-ant protocol) ----------------
 
     def _flood(self, node: int, kind: str, packet=None):
-        """Start a flood at `node`: a new ant carrying `packet`, seen there
-        first, broadcast as a `kind` frame."""
+        """Start a flood at `node`: a new ant whose flood record carries
+        `packet`, seen there first, broadcast as a `kind` frame."""
         sim = self.sim
-        ant = Ant(uid=sim.new_ant_uid(), packet=packet)
+        ant = Ant(uid=sim.new_ant_uid(), flood=Flood(packet))
         ant.visit(node, sim.now)
-        self._first_sight(node, ant.uid)
+        self._first_sight(node, ant)
         sim.send_frame(node, BROADCAST, kind, ant)
 
     def _on_flood_frame(self, node: int, frame):
@@ -56,7 +49,7 @@ class FF(PathReinforceProtocol):
         if node == sim.sink_node:
             self._flood_at_sink(node, frame)
             return
-        if not self._first_sight(node, ant.uid):
+        if not self._first_sight(node, ant):
             pending = self._pending.pop((node, ant.uid), None)
             if pending is not None:
                 sim.kernel.cancel(pending)  # someone beat us to it
@@ -69,13 +62,13 @@ class FF(PathReinforceProtocol):
         ev = sim.kernel.schedule(sim.now + delay, PROTO_TIMER, (node, frame.kind, mine))
         self._pending[(node, mine.uid)] = ev
 
-    def _first_sight(self, node: int, uid: int) -> bool:
-        """Mark flood `uid` as seen at `node`; True if it had not been."""
-        seen = self._seen.get(uid, 0)
+    def _first_sight(self, node: int, ant: Ant) -> bool:
+        """Mark `ant`'s flood as seen at `node`; True if it had not been."""
+        flood = ant.flood
         bit = 1 << node
-        if seen & bit:
+        if flood.seen & bit:
             return False
-        self._seen[uid] = seen | bit
+        flood.seen |= bit
         return True
 
     def _flood_at_sink(self, node: int, frame):

@@ -2,7 +2,7 @@
 packet rides a flooded data ant that accumulates the visited-node list; the
 flood obeys the same two suppression rules, and every copy reaching the sink
 spawns a path-retracing backward ant. Every fork of a flood's ant shares
-its one `DataPacket`, so the sink counts the delivery on the first copy.
+its `Flood` and so one `DataPacket`: the sink counts the first copy only.
 """
 
 from ..radio import DATA_ANT
@@ -19,7 +19,7 @@ class FP(FF):
             self._flood(node, DATA_ANT, packet)
 
     def _flood_at_sink(self, node: int, frame):
-        packet = frame.payload.packet
+        packet = frame.payload.flood.packet
         if not packet.delivered:
             packet.delivered = True
             self.sim.record_delivered(packet.created_at, self.sim.now)

@@ -106,28 +106,45 @@ class RoutingTable:
             yield n, SINK, v
 
 
+@dataclass(slots=True)
+class Flood:
+    """One flood's state, shared by every copy of its ant: `seen`, the int
+    bitset of nodes that have seen it (bit i = node i), and `packet`, the
+    `DataPacket` a data flood hauls (None on a forward-ant flood).
+
+    A node forks and rebroadcasts a flood only on its first sight of it, and
+    the sink never rebroadcasts, so every copy's path holds distinct nodes.
+    No time window can replace this: under MAC queueing a duplicate copy
+    reaches a node tens of seconds after its first one. Only the flood's
+    copies hold the record (frames queued or on air, pending rebroadcasts,
+    backward ants), so it is freed with the last of them.
+    """
+    packet: object = None
+    seen: int = 0
+
+
 @dataclass
 class Ant:
     """A forward agent riding inside frames.
 
     `path` records the (node, time) hops so far, the current node last; its
     length is the hop count. Full-path protocols exclude every visited node,
-    the pheromone family only the last two. `packet` is the `DataPacket` a
-    flooded data ant hauls, None on every other ant.
+    the pheromone family only the last two. `flood` is the `Flood` that every
+    copy of a flooded ant shares, None on a walking ant.
     """
     uid: int
     path: list = field(default_factory=list)
     e_min: float = math.inf
     e_sum: float = 0.0
     e_count: int = 0
-    packet: object = None
+    flood: Flood | None = None
 
     def visit(self, node: int, time: float):
         self.path.append((node, time))
 
     def fork(self) -> "Ant":
-        """Copy for one receiver of a flood: its own path, the same packet."""
-        return Ant(self.uid, list(self.path), self.e_min, self.e_sum, self.e_count, self.packet)
+        """Copy for one receiver of a flood: its own path, the same flood."""
+        return Ant(self.uid, list(self.path), self.e_min, self.e_sum, self.e_count, self.flood)
 
     def record_energy(self, residual: float):
         if residual < self.e_min:

@@ -73,6 +73,8 @@ class TestValidation:
         dict(sigma_alpha=-0.1),
         dict(sigma_beta=-1e-6),
         dict(c1=0.7, c2=0.2),              # weights must sum to one
+        dict(c1=1.5, c2=-0.5),             # ... and each be nonnegative
+        dict(c1=-0.5, c2=1.5),
         dict(eta=0.0),
         dict(eta=1.0),
         dict(rho=0.0),
@@ -101,6 +103,7 @@ class TestValidation:
         dict(nodes=16, layout="grid"),
         dict(sigma_alpha=0.0, sigma_beta=0.0),
         dict(c1=0.0, c2=1.0),
+        dict(c1=1.0, c2=0.0),
         dict(tau0=0.02),
         dict(trip_window=1),
         dict(sc_beta=SC_BETA_MAX),
@@ -110,6 +113,12 @@ class TestValidation:
     ])
     def test_boundaries_accepted(self, ok):
         SimConfig(**ok)
+
+    def test_negative_reinforcement_weight_rejected_with_key_and_value(self):
+        # The weights sum to one, yet a negative c2 would make babr penalise
+        # good trips.
+        with pytest.raises(ConfigError, match=re.escape("c2 must be >= 0, got -0.5")):
+            SimConfig(c1=1.5, c2=-0.5)
 
     @pytest.mark.parametrize("bad, message", [
         (dict(nodes=9.0, layout="grid"), "nodes must be an integer, got 9.0"),
@@ -151,7 +160,9 @@ class TestValidation:
 
 # (key, side, bound): every single-knob bound, written out here rather than
 # read from the fields, so that a bound dropped from or mistyped on its field
-# fails. An int bound marks an int knob.
+# fails. An int bound marks an int knob. `c1 >= 0` and `c2 >= 0` are left out:
+# set alone, either at its bound breaks `c1 + c2 = 1`, so TestValidation
+# checks them in pairs.
 BOUNDS = [
     ("nodes", ">=", 2),
     ("duration", ">", 0.0),

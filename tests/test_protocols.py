@@ -14,7 +14,7 @@ from antwsn.protocols.base import DataPacket
 from antwsn.protocols.eeabr import selection_weights
 from antwsn.radio import (BACKWARD_ANT, BROADCAST, DATA, DATA_ANT,
                           FORWARD_ANT, Frame)
-from antwsn.routing import Ant, RoutingError
+from antwsn.routing import Ant, Flood, RoutingError
 from antwsn.scenario import from_points
 from antwsn.simulation import Simulation
 
@@ -111,7 +111,7 @@ class TestFloodDiscipline:
     def test_node_dead_at_its_rebroadcast_timer_airs_nothing(self):
         sim = build_sim("ff", LINE3, sink=2)
         sent = log_sends(sim)
-        ant = Ant(uid=sim.new_ant_uid())
+        ant = Ant(uid=sim.new_ant_uid(), flood=Flood())
         ant.visit(0, 0.0)
         frame = Frame(src=0, dst=BROADCAST, kind=FORWARD_ANT,
                       size_bits=sim.cfg.ant_bits, payload=ant)
@@ -164,9 +164,10 @@ class TestFramePayloads:
         if kind == DATA:
             return type(payload) is DataPacket
         if kind == FORWARD_ANT:
-            return type(payload) is Ant and payload.packet is None
+            return type(payload) is Ant and (payload.flood is None
+                                             or payload.flood.packet is None)
         if kind == DATA_ANT:
-            return type(payload) is Ant and type(payload.packet) is DataPacket
+            return type(payload) is Ant and type(payload.flood.packet) is DataPacket
         if protocol in ("eeabr", "ieeabr"):   # backward-ant: (uid, dtau, bd)
             uid, dtau, bd = payload
             return type(uid) is int and type(dtau) is float and type(bd) is int
@@ -204,7 +205,7 @@ class TestFloodedData:
     def test_delivery_counted_once_per_packet(self):
         sim = build_sim("fp", LINE3, sink=2)
         packet = DataPacket(created_at=0.0, ttl=12)
-        ant = Ant(uid=sim.new_ant_uid(), packet=packet)
+        ant = Ant(uid=sim.new_ant_uid(), flood=Flood(packet))
         ant.visit(0, 0.0)
         for src in (1, 1):
             # Each copy carries its own fork of the packet's one flood ant.

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from antwsn import routing
 from antwsn.kernel import weighted_pick
-from antwsn.routing import (Ant, AntCache, PHEROMONE, PROBABILITY,
+from antwsn.routing import (Ant, AntCache, Flood, PHEROMONE, PROBABILITY,
                             RoutingError, RoutingTable, TripModel)
 
 
@@ -148,13 +148,19 @@ class TestAnt:
         assert ant.e_avg == 0.0
 
     def test_fork_is_independent(self):
-        ant = Ant(uid=1)
+        ant = Ant(uid=1, flood=Flood())
         ant.visit(0, 0.0)
         twin = ant.fork()
         twin.visit(9, 1.0)
         assert ant.path_nodes() == [0]
         assert twin.path_nodes() == [0, 9]
         assert twin.uid == ant.uid
+        # Every copy of a flood shares its one record.
+        assert twin.flood is ant.flood
+        twin.flood.seen |= 1 << 9
+        assert ant.flood.seen == 1 << 9
+        # A walking ant has no flood, and neither have its forks.
+        assert Ant(uid=2).fork().flood is None
 
 
 class TestAntCache:

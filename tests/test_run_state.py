@@ -1,5 +1,6 @@
-"""Per-run state: the flood-dedup record of ff and fp checked against a model
-of per-node uid sets, and a finished run freed by refcount alone."""
+"""Per-run state: the flood-dedup records of ff and fp checked against a model
+of per-node uid sets, each record living exactly as long as some copy of its
+flood, and a finished run freed by refcount alone."""
 
 import gc
 import math
@@ -8,8 +9,9 @@ import weakref
 import pytest
 
 from antwsn.config import PROTOCOL_NAMES, SCENARIOS, SimConfig
+from antwsn.protocols import ff
 from antwsn.radio import DATA_ANT, FORWARD_ANT
-from antwsn.routing import PROBABILITY
+from antwsn.routing import PROBABILITY, Ant, Flood
 from antwsn.simulation import Simulation
 
 FLOOD_KINDS = (FORWARD_ANT, DATA_ANT)
@@ -24,7 +26,6 @@ class DedupModel:
 
     def __init__(self, sim):
         self.seen = [set() for _ in range(sim.topology.n)]
-        self.flooded = set()
         self.first_sights = self.duplicates = 0
         proto = sim.protocol
         handle, want = proto._on_flood_frame, proto._want_rebroadcast
@@ -53,9 +54,7 @@ class DedupModel:
 
         def send_frame(src, dst, kind, payload):
             if kind in FLOOD_KINDS:   # a launch, or a rebroadcast of a seen uid
-                uid = payload.uid
-                self.flooded.add(uid)
-                self.seen[src].add(uid)
+                self.seen[src].add(payload.uid)
             send(src, dst, kind, payload)
 
         proto._on_flood_frame = on_flood_frame
@@ -67,17 +66,55 @@ FLOOD_CELLS = [("ff", {"ant_interval": 2.0}),
                ("fp", {"ant_interval": 20.0, "phi": 0.2, "alpha": 2.0})]
 
 
+def ants_held(payload):
+    """The ants a queued frame's payload or a heap event's payload holds: a
+    TX_END's transmission, a rebroadcast timer's `(node, kind, ant)`, a
+    backward ant's `(ant, pos)` or a flooded ant itself."""
+    frame = getattr(payload, "frame", None)
+    if frame is not None:
+        payload = frame.payload
+    if isinstance(payload, Ant):
+        return [payload]
+    if isinstance(payload, tuple):
+        return [x for x in payload if isinstance(x, Ant)]
+    return []
+
+
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @pytest.mark.parametrize("protocol,overrides", FLOOD_CELLS)
-def test_flood_dedup_matches_a_per_node_uid_model(protocol, overrides, scenario):
-    cfg = SimConfig(protocol=protocol, nodes=36, seed=5, scenario=scenario,
-                    duration=15.0, traffic_rate=0.2, **overrides)
-    sim = Simulation(cfg)
-    model = DedupModel(sim)
-    sim.run()
-    assert model.first_sights > 0 and model.duplicates > 0
-    # One dedup entry per flooded uid, however many nodes saw it.
-    assert sorted(sim.protocol._seen) == sorted(model.flooded)
+def test_flood_dedup_matches_a_per_node_uid_model(protocol, overrides, scenario,
+                                                  monkeypatch):
+    records = []
+
+    class Tracked(Flood):
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, packet=None):
+            super().__init__(packet)
+            records.append(weakref.ref(self))   # not keyed by id: ids get reused
+
+    monkeypatch.setattr(ff, "Flood", Tracked)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        cfg = SimConfig(protocol=protocol, nodes=36, seed=5, scenario=scenario,
+                        duration=15.0, traffic_rate=0.2, **overrides)
+        sim = Simulation(cfg)
+        model = DedupModel(sim)
+        sim.kernel.run_until(cfg.duration)   # not run(), which clears the heap
+        assert model.first_sights > 0 and model.duplicates > 0
+        # A flood's record lives exactly as long as a copy of its flood: a
+        # frame queued or on air, a rebroadcast timer (cancelled ones too) or
+        # a backward ant.
+        payloads = [frame.payload for queue in sim.medium._queues for frame in queue]
+        payloads += [ev.payload for _, _, ev in sim.kernel._heap]
+        held = {ant.uid for p in payloads for ant in ants_held(p)}
+        live = sum(ref() is not None for ref in records)
+        assert live == len(held)
+        assert 0 < live < len(records)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
