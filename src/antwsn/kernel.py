@@ -154,25 +154,3 @@ class RandomStream:
     def exponential(self, mean: float) -> float:
         return float(self._gen.exponential(mean))
 
-
-def weighted_pick(weights, u: float) -> int | None:
-    """Index drawn from non-negative weights using a single uniform u in [0,1).
-
-    The last strictly positive weight absorbs any floating-point shortfall.
-    None when no weight is positive: nothing is eligible.
-    """
-    total = 0.0
-    for w in weights:
-        if w < 0:
-            raise ValueError("negative weight")
-        total += w
-    target = u * total
-    acc = 0.0
-    last_positive = None
-    for i, w in enumerate(weights):
-        if w > 0:
-            acc += w
-            last_positive = i
-            if target < acc:
-                return i
-    return last_positive

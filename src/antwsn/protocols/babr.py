@@ -12,17 +12,14 @@ def reinforce(table, chosen, r: float):
     """Shift a probability column toward `chosen` by factor r.
 
     P_chosen rises by r(1 - P_chosen); every other entry decays by r of
-    itself, so the column stays normalized by construction.
+    itself, so the column stays normalized by construction. The new column
+    goes through `table.set_column`, which checks it.
     """
     if not (0.0 <= r <= 1.0):
         raise RoutingError(f"reinforcement factor {r!r} outside [0, 1]")
-    col = table.column
     idx = table.index[chosen]
-    for i in range(len(col)):
-        if i == idx:
-            col[i] += r * (1.0 - col[i])
-        else:
-            col[i] -= r * col[i]
+    table.set_column([c + r * (1.0 - c) if i == idx else c - r * c
+                      for i, c in enumerate(table.column)])
 
 
 def reinforcement_factor(model: TripModel, trip: float, c1: float, c2: float) -> float:
@@ -111,7 +108,6 @@ class PathReinforceProtocol(Protocol):
         model.observe(trip)
         r = reinforcement_factor(model, trip, self.cfg.c1, self.cfg.c2)
         reinforce(table, came_from, r)
-        table.normalize_check()
 
 
 class BABR(PathReinforceProtocol):

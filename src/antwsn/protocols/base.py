@@ -30,7 +30,7 @@ them. Only the flood protocols air broadcasts, so only they define
 from dataclasses import dataclass
 
 from ..radio import BROADCAST, DATA, FORWARD_ANT, Frame
-from ..routing import PHEROMONE, PROBABILITY, RoutingTable
+from ..routing import RoutingTable
 
 
 @dataclass
@@ -42,23 +42,17 @@ class DataPacket:
 
 class Protocol:
     name = ""
-    table_mode = PROBABILITY
     launches_ants = True
 
-    def __init__(self, sim):
+    def __init__(self, sim, fresh_mass=None):
+        """Build every node's table: a probability column, or with a
+        `fresh_mass` a pheromone column of that mass per entry. Every node
+        has a neighbor on a connected field; a node without one makes
+        RoutingTable raise."""
         self.sim = sim
         self.cfg = sim.cfg
         topo = sim.topology
-        # Pheromone tables start each entry at the configured prior mass
-        # (1/n unless overridden) so early deposits actually shift the odds;
-        # probability tables fix their own uniform start.
-        fresh = None
-        if self.table_mode == PHEROMONE:
-            fresh = self.cfg.tau0 if self.cfg.tau0 is not None else 1.0 / topo.n
-        # Every node has a neighbor on a connected field; a node without one
-        # makes RoutingTable raise.
-        self.tables = {node: RoutingTable(topo.neighbors[node], self.table_mode,
-                                          fresh_mass=fresh)
+        self.tables = {node: RoutingTable(topo.neighbors[node], fresh_mass)
                        for node in range(topo.n)}
 
     # -- lifecycle hooks (simulation calls these) -------------------------
@@ -130,7 +124,7 @@ class Protocol:
         """Pick the next relay toward the sink, avoiding the node the packet
         came from. When that node is the only one with weight, the packet
         bounces back to it, with the same draw. One always exists: every
-        column write passes `normalize_check`."""
+        column write goes through the table, which keeps it normalized."""
         table = self.tables[node]
         u = self.sim.rng.protocol.uniform()
         nxt = table.sample(u, () if arrived_from is None else (arrived_from,))

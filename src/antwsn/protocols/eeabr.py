@@ -5,9 +5,8 @@ and average residual energy the ant saw.
 """
 
 from ..config import VISIBILITY_FLOOR
-from ..kernel import weighted_pick
 from ..radio import BACKWARD_ANT, FORWARD_ANT
-from ..routing import Ant, AntCache, PHEROMONE
+from ..routing import Ant, AntCache, weighted_pick
 from .base import Protocol
 
 DENOM_TINY = 1e-9
@@ -55,10 +54,13 @@ def evaporate_deposit(tau: float, dtau: float, bd: int, rho: float, phi: float) 
 
 class EEABR(Protocol):
     name = "eeabr"
-    table_mode = PHEROMONE
 
     def __init__(self, sim):
-        super().__init__(sim)
+        # Each entry starts at the prior mass (tau0, or 1/n) so that early
+        # deposits actually shift the odds.
+        tau0 = sim.cfg.tau0
+        self.fresh_mass = tau0 if tau0 is not None else 1.0 / sim.topology.n
+        super().__init__(sim, self.fresh_mass)
         self.caches = {node: AntCache(self.cfg.cache_timeout) for node in self.tables}
 
     # -- forward ants ------------------------------------------------------

@@ -96,7 +96,7 @@ class IEEABR(EEABR):
             table = self.tables[node]
             n_nb = len(table.neighbors)
             to_sink, to_other = sink_adjacent_split(n_nb)
-            scale = table.fresh_mass * n_nb
+            scale = self.fresh_mass * n_nb
             table.set_column([scale * (to_sink if n == sink_node else to_other)
                               for n in table.neighbors])
 

@@ -1,18 +1,17 @@
 """Per-node routing state shared by every protocol: the next-hop table
-toward the sink, ant bookkeeping, and the adaptive trip-time model.
+toward the sink, the weighted next-hop draw, ant bookkeeping, and the
+adaptive trip-time model.
 
 Every node reports to one sink, so a table is a single column: one weight
-per neighbor as the next hop toward whichever node hosts the sink. Tables
-come in two flavours. Probability tables keep the column normalized to 1
-(checked to 1e-9); pheromone tables only require nonnegative entries and
-are normalized on the fly when sampling.
+per neighbor as the next hop toward whichever node hosts the sink. A table
+without a fresh mass is a probability table: its column is kept normalized
+to 1 (checked to 1e-9). A fresh mass makes a pheromone table, which only
+requires nonnegative entries and is normalized on the fly when sampling.
 """
 
 import math
 from collections import deque
 from dataclasses import dataclass, field
-
-from .kernel import weighted_pick
 
 PROBABILITY = "probability"
 PHEROMONE = "pheromone"
@@ -22,34 +21,55 @@ SINK = "sink"   # destination label in dumped rows: whichever node hosts the sin
 NORM_TOL = 1e-9
 
 
+def weighted_pick(weights, u: float) -> int | None:
+    """Index drawn from non-negative weights using a single uniform u in [0,1).
+
+    The last strictly positive weight absorbs any floating-point shortfall.
+    None when no weight is positive: nothing is eligible.
+    """
+    total = 0.0
+    for w in weights:
+        if w < 0:
+            raise ValueError("negative weight")
+        total += w
+    target = u * total
+    acc = 0.0
+    last_positive = None
+    for i, w in enumerate(weights):
+        if w > 0:
+            acc += w
+            last_positive = i
+            if target < acc:
+                return i
+    return last_positive
+
+
 class RoutingError(Exception):
     pass
 
 
 class RoutingTable:
     """One weight per neighbor, in `column`, for that neighbor as the next
-    hop toward the sink.
+    hop toward the sink. The table owns its column: every write goes
+    through `set`, which checks the entry, or `set_column`, which checks the
+    whole column before it lands.
 
-    The fresh column has equal entries, so it samples uniformly: 1/n each in
-    probability mode, and `fresh_mass` each (1/n unless given) in pheromone
-    mode, which pins the per-entry mass so deposits register against the
-    prior.
+    The fresh column has equal entries, so it samples uniformly. Without a
+    `fresh_mass` the table is a probability table, 1/n each and kept
+    normalized. A `fresh_mass` makes it a pheromone table of that mass
+    each, which pins the per-entry scale so deposits register against the
+    prior. `mode` names the kind.
     """
 
-    def __init__(self, neighbors, mode=PROBABILITY, fresh_mass=None):
-        if mode not in (PROBABILITY, PHEROMONE):
-            raise RoutingError(f"unknown table mode {mode!r}")
+    def __init__(self, neighbors, fresh_mass=None):
         if fresh_mass is not None and fresh_mass <= 0:
             raise RoutingError("fresh_mass must be > 0")
-        if fresh_mass is not None and mode == PROBABILITY:
-            raise RoutingError("probability columns fix their own fresh value")
         self.neighbors = list(neighbors)
         if not self.neighbors:
             raise RoutingError("node has no neighbors")
-        self.mode = mode
-        self.fresh_mass = fresh_mass
+        self.mode = PROBABILITY if fresh_mass is None else PHEROMONE
         self.index = {n: i for i, n in enumerate(self.neighbors)}  # neighbor -> column slot
-        fresh = fresh_mass if fresh_mass is not None else 1.0 / len(self.neighbors)
+        fresh = 1.0 / len(self.neighbors) if fresh_mass is None else fresh_mass
         self.column = [float(fresh)] * len(self.neighbors)
 
     def get(self, neighbor) -> float:
@@ -61,18 +81,22 @@ class RoutingTable:
         self.column[self.index[neighbor]] = value
 
     def set_column(self, values):
-        if len(values) != len(self.neighbors):
+        """Replace the column with `values`, once they pass the checks; a
+        rejected column leaves the table as it was."""
+        column = [float(v) for v in values]
+        if len(column) != len(self.neighbors):
             raise RoutingError("column length does not match neighbor count")
-        if any(v < 0 for v in values):
+        if any(v < 0 for v in column):
             raise RoutingError("table entries must be >= 0")
-        self.column = [float(v) for v in values]
-        self.normalize_check()
+        self.normalize_check(column)
+        self.column = column
 
-    def normalize_check(self):
-        """Probability columns must sum to 1 within NORM_TOL."""
+    def normalize_check(self, column=None):
+        """A probability table's column, or `column` in its place, must sum
+        to 1 within NORM_TOL."""
         if self.mode != PROBABILITY:
             return
-        s = math.fsum(self.column)
+        s = math.fsum(self.column if column is None else column)
         if abs(s - 1.0) > NORM_TOL:
             raise RoutingError(f"column sums to {s!r}, expected 1")
 

@@ -120,7 +120,7 @@ def test_c1_probability_columns_stay_normalized():
     for i in range(10_000):
         if i % 50 == 0:
             k = int(rng.integers(2, 7))
-            table = RoutingTable(list(range(k)), "probability")
+            table = RoutingTable(list(range(k)))
             col = rng.random(k) + 1e-3
             table.set_column(list(col / col.sum()))
         chosen = int(rng.integers(0, len(table.neighbors)))

@@ -13,9 +13,8 @@ import pytest
 
 import antwsn
 from antwsn.config import PROTOCOL_NAMES, ConfigError
-from antwsn.harness import (CSV_COLUMNS, ExperimentPlan, ResultTable,
-                            cell_seed, load_plan, parse_plan_text,
-                            run_experiment)
+from antwsn.harness import (CSV_COLUMNS, ExperimentPlan, cell_seed, load_plan,
+                            parse_plan_text, run_experiment)
 
 SMALL = dict(protocols=("babr", "ieeabr"), node_counts=(9,),
              scenarios=("static",), replicates=2, base_seed=5,

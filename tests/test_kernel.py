@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antwsn.kernel import RandomStream, SchedulingError, Simulator, weighted_pick
+from antwsn.kernel import RandomStream, SchedulingError, Simulator
 
 
 def collect(sim, kind, out):
@@ -230,41 +230,3 @@ class TestRandomStream:
         st = RandomStream(5, "s")
         assert all(st.exponential(2.0) > 0 for _ in range(50))
 
-
-class TestWeightedPick:
-    def test_buckets(self):
-        weights = [1.0, 3.0]
-        assert weighted_pick(weights, 0.0) == 0
-        assert weighted_pick(weights, 0.24) == 0
-        assert weighted_pick(weights, 0.26) == 1
-        assert weighted_pick(weights, 0.99) == 1
-
-    def test_zero_weights_skipped(self):
-        assert weighted_pick([0.0, 1.0, 0.0], 0.5) == 1
-        assert weighted_pick([0.0, 0.5, 0.5], 0.0) == 1
-
-    def test_last_positive_absorbs_shortfall(self):
-        # u close enough to 1 that accumulation may fall short of the target
-        assert weighted_pick([0.1, 0.2, 0.0], 1.0 - 1e-16) == 1
-
-    def test_all_zero_gives_none(self):
-        assert weighted_pick([0.0, 0.0], 0.3) is None
-
-    def test_nan_weights_are_never_picked(self):
-        nan = float("nan")
-        assert weighted_pick([nan, nan], 0.3) is None
-        assert weighted_pick([0.5, nan, 0.5], 0.0) == 2
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_pick([0.5, -0.1], 0.3)
-
-    def test_matches_proportions(self):
-        rng = np.random.default_rng(0)
-        weights = [0.2, 0.5, 0.3]
-        counts = [0, 0, 0]
-        n = 20000
-        for u in rng.random(n):
-            counts[weighted_pick(weights, float(u))] += 1
-        for w, c in zip(weights, counts):
-            assert abs(c / n - w) < 0.02

@@ -10,7 +10,7 @@ from antwsn.config import SimConfig
 from antwsn.kernel import RandomStream, Simulator
 from antwsn.protocols.eeabr import EEABR
 from antwsn.radio import EnergyLedger, Medium
-from antwsn.routing import RoutingTable
+from antwsn.routing import RoutingTable, weighted_pick
 from antwsn.simulation import Simulation
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
@@ -28,6 +28,7 @@ def test_code_maps_to_its_layer():
         Medium.settle_idle: "energy",
         EnergyLedger.charge: "energy",
         RoutingTable.sample: "routing",
+        weighted_pick: "routing",
         EEABR._pick_next: "protocols",
         Simulation.run: "harness",
     }

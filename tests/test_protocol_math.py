@@ -12,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from antwsn.config import SimConfig
-from antwsn.kernel import weighted_pick
 from antwsn.protocols import eeabr
 from antwsn.protocols import (reinforce, reinforcement_factor,
                               initial_distribution, should_broadcast,
@@ -21,7 +20,7 @@ from antwsn.protocols import (reinforce, reinforcement_factor,
                               sink_adjacent_split_exact, redistribute_column,
                               AntQuota)
 from antwsn.protocols.eeabr import VISIBILITY_FLOOR
-from antwsn.routing import RoutingError, RoutingTable
+from antwsn.routing import RoutingError, RoutingTable, weighted_pick
 from antwsn.scenario import from_points
 from antwsn.simulation import Simulation
 

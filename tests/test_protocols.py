@@ -14,7 +14,7 @@ from antwsn.protocols.base import DataPacket
 from antwsn.protocols.eeabr import selection_weights
 from antwsn.radio import (BACKWARD_ANT, BROADCAST, DATA, DATA_ANT,
                           FORWARD_ANT, Frame)
-from antwsn.routing import Ant, Flood, RoutingError
+from antwsn.routing import PHEROMONE, PROBABILITY, Ant, Flood, RoutingError
 from antwsn.scenario import from_points
 from antwsn.simulation import Simulation
 
@@ -67,7 +67,8 @@ class TestBasicAntTrace:
         # A column with no weight is a bug, raised rather than booked as an
         # ant that ran out of unvisited neighbors.
         sim = build_sim("babr", LINE3, sink=2)
-        sim.protocol.tables[1].column = [0.0, 0.0]
+        for n in (0, 2):
+            sim.protocol.tables[1].set(n, 0.0)
         ant = Ant(uid=sim.new_ant_uid())
         ant.visit(0, 0.0)
         ant.visit(1, 0.0)
@@ -296,22 +297,30 @@ class TestPheromoneSelection:
 
 
 class TestPrimingAtConstruction:
-    # Node 1's column toward neighbours (0, 2) on LINE3 with the sink on 2.
+    # Node 1's column toward neighbours (0, 2) on LINE3 with the sink on 2:
+    # case -> (protocol, config overrides, column).
     MID_COLUMNS = {
-        "babr": [1 / 2, 1 / 2],                     # uniform probabilities
-        "eeabr": [1 / 3, 1 / 3],                    # fresh mass 1/n each
-        "sc": [1 / (1 + math.exp(40 / 35)), 1 / (1 + math.exp(-40 / 35))],
-        "ieeabr": [2 / 3 * 3 / 16, 2 / 3 * 13 / 16],
+        "babr": ("babr", {}, [1 / 2, 1 / 2]),       # uniform probabilities
+        "ff": ("ff", {}, [1 / 2, 1 / 2]),
+        "fp": ("fp", {}, [1 / 2, 1 / 2]),
+        "eeabr": ("eeabr", {}, [1 / 3, 1 / 3]),     # fresh mass 1/n each
+        "eeabr-tau0": ("eeabr", {"tau0": 0.05}, [0.05, 0.05]),
+        "sc": ("sc", {}, [1 / (1 + math.exp(40 / 35)), 1 / (1 + math.exp(-40 / 35))]),
+        "ieeabr": ("ieeabr", {}, [2 / 3 * 3 / 16, 2 / 3 * 13 / 16]),
     }
 
-    @pytest.mark.parametrize("protocol", MID_COLUMNS)
-    def test_built_simulation_holds_its_start_up_columns(self, protocol):
+    @pytest.mark.parametrize("case", MID_COLUMNS)
+    def test_built_simulation_holds_its_start_up_columns(self, case):
         # sc's distance gradient and ieeabr's sink-adjacent split are set up
-        # when the protocol is built, before any event runs.
-        sim = build_sim(protocol, LINE3, sink=2)
+        # when the protocol is built, before any event runs. The eeabr family
+        # keeps pheromone tables, the rest probability tables.
+        protocol, overrides, column = self.MID_COLUMNS[case]
+        sim = build_sim(protocol, LINE3, sink=2, **overrides)
         assert sim.kernel.dispatched == 0 and sim.now == 0.0
         assert sim.protocol.tables[1].neighbors == [0, 2]
-        assert sim.protocol.tables[1].column == pytest.approx(self.MID_COLUMNS[protocol])
+        assert sim.protocol.tables[1].column == pytest.approx(column)
+        mode = PHEROMONE if protocol in ("eeabr", "ieeabr") else PROBABILITY
+        assert {t.mode for t in sim.protocol.tables.values()} == {mode}
 
 
 class TestSmartPriming:
@@ -386,7 +395,7 @@ class TestDataPipeline:
         # Every write to a column keeps it normalized; one with no weight is
         # a bug, reported as such rather than counted as a dropped packet.
         sim = build_sim("babr", LINE3, sink=2)
-        sim.protocol.tables[0].column = [0.0]
+        sim.protocol.tables[0].set(1, 0.0)
         with pytest.raises(RoutingError, match="no positive weight"):
             sim.protocol.on_data_generated(0)
 

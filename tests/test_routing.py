@@ -1,4 +1,5 @@
-"""Routing tables in both modes, ant bookkeeping, and the trip-time model."""
+"""Routing tables of both kinds, the weighted draw, ant bookkeeping, and the
+trip-time model."""
 
 import math
 
@@ -10,9 +11,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from antwsn import routing
-from antwsn.kernel import weighted_pick
 from antwsn.routing import (Ant, AntCache, Flood, PHEROMONE, PROBABILITY,
-                            RoutingError, RoutingTable, TripModel)
+                            RoutingError, RoutingTable, TripModel, weighted_pick)
 
 
 class TestRoutingTable:
@@ -21,28 +21,33 @@ class TestRoutingTable:
         assert t.column == [pytest.approx(1 / 3)] * 3
         t.normalize_check()
 
-    def test_fresh_pheromone_column_defaults_to_uniform_mass(self):
-        t = RoutingTable([1, 2], mode=PHEROMONE)
-        assert t.column == [0.5, 0.5]
+    @pytest.mark.parametrize("fresh_mass, mode, fresh", [
+        (None, PROBABILITY, [0.25] * 4),   # no mass: 1/k each, kept normalized
+        (0.02, PHEROMONE, [0.02] * 4),     # a mass: that mass each, unnormalized
+    ], ids=[PROBABILITY, PHEROMONE])
+    def test_kind_follows_the_fresh_mass(self, fresh_mass, mode, fresh):
+        t = RoutingTable([1, 2, 3, 4], fresh_mass)
+        assert t.mode == mode
+        assert t.column == fresh
+        unnormalized = [0.5, 0.5, 0.5, 0.0]
+        if mode == PROBABILITY:
+            with pytest.raises(RoutingError, match="sums to"):
+                t.set_column(unnormalized)
+            assert t.column == fresh
+        else:
+            t.set_column(unnormalized)
+            assert t.column == unnormalized
 
     def test_fresh_mass_pins_pheromone_scale(self):
-        t = RoutingTable([1, 2, 3], mode=PHEROMONE, fresh_mass=0.02)
+        t = RoutingTable([1, 2, 3], fresh_mass=0.02)
         assert t.column == [0.02, 0.02, 0.02]
-
-    def test_fresh_mass_rejected_in_probability_mode(self):
-        with pytest.raises(RoutingError):
-            RoutingTable([1, 2], mode=PROBABILITY, fresh_mass=0.1)
 
     def test_fresh_mass_must_be_positive(self):
         with pytest.raises(RoutingError):
-            RoutingTable([1, 2], mode=PHEROMONE, fresh_mass=0.0)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(RoutingError):
-            RoutingTable([1], mode="fuzzy")
+            RoutingTable([1, 2], fresh_mass=0.0)
 
     def test_get_set(self):
-        t = RoutingTable([4, 5], mode=PHEROMONE)
+        t = RoutingTable([4, 5], fresh_mass=0.5)
         t.set(5, 2.5)
         assert t.get(5) == 2.5
         assert t.get(4) == 0.5
@@ -59,7 +64,7 @@ class TestRoutingTable:
             t.set_column([0.6, 0.6])       # does not sum to 1
 
     def test_pheromone_columns_need_not_normalize(self):
-        t = RoutingTable([1, 2], mode=PHEROMONE)
+        t = RoutingTable([1, 2], fresh_mass=0.5)
         t.set_column([3.0, 9.0])
         assert t.column == [3.0, 9.0]
 
@@ -68,7 +73,7 @@ class TestRoutingTable:
             RoutingTable([])
 
     def test_sample_proportional(self):
-        t = RoutingTable([10, 20], mode=PHEROMONE)
+        t = RoutingTable([10, 20], fresh_mass=0.5)
         t.set_column([1.0, 3.0])
         rng = np.random.default_rng(0)
         picks = [t.sample(float(u)) for u in rng.random(8000)]
@@ -89,7 +94,7 @@ class TestRoutingTable:
         assert t.sample(0.0) == 10
 
     def test_sample_needs_positive_mass(self):
-        t = RoutingTable([10, 20], mode=PHEROMONE)
+        t = RoutingTable([10, 20], fresh_mass=0.5)
         t.set_column([0.0, 0.0])
         with pytest.raises(RoutingError):
             t.sample(0.5)
@@ -105,7 +110,7 @@ class TestRoutingTable:
     @example(column=[0.0, 2.0], exclude=[1], exclude_all=False, u=0.9)
     def test_sample_matches_the_reference(self, column, exclude, exclude_all, u):
         # Neighbors are the even ids, so odd exclusions are not neighbors.
-        t = RoutingTable([2 * i for i in range(len(column))], mode=PHEROMONE)
+        t = RoutingTable([2 * i for i in range(len(column))], fresh_mass=1.0)
         t.set_column(column)
         if exclude_all:
             exclude = exclude + t.neighbors
@@ -125,6 +130,45 @@ class TestRoutingTable:
         t = RoutingTable([1, 2])
         rows = list(t.rows())
         assert rows == [(1, "sink", 0.5), (2, "sink", 0.5)]
+
+
+class TestWeightedPick:
+    def test_buckets(self):
+        weights = [1.0, 3.0]
+        assert weighted_pick(weights, 0.0) == 0
+        assert weighted_pick(weights, 0.24) == 0
+        assert weighted_pick(weights, 0.26) == 1
+        assert weighted_pick(weights, 0.99) == 1
+
+    def test_zero_weights_skipped(self):
+        assert weighted_pick([0.0, 1.0, 0.0], 0.5) == 1
+        assert weighted_pick([0.0, 0.5, 0.5], 0.0) == 1
+
+    def test_last_positive_absorbs_shortfall(self):
+        # u close enough to 1 that accumulation may fall short of the target
+        assert weighted_pick([0.1, 0.2, 0.0], 1.0 - 1e-16) == 1
+
+    def test_all_zero_gives_none(self):
+        assert weighted_pick([0.0, 0.0], 0.3) is None
+
+    def test_nan_weights_are_never_picked(self):
+        nan = float("nan")
+        assert weighted_pick([nan, nan], 0.3) is None
+        assert weighted_pick([0.5, nan, 0.5], 0.0) == 2
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            weighted_pick([0.5, -0.1], 0.3)
+
+    def test_matches_proportions(self):
+        rng = np.random.default_rng(0)
+        weights = [0.2, 0.5, 0.3]
+        counts = [0, 0, 0]
+        n = 20000
+        for u in rng.random(n):
+            counts[weighted_pick(weights, float(u))] += 1
+        for w, c in zip(weights, counts):
+            assert abs(c / n - w) < 0.02
 
 
 class TestAnt:

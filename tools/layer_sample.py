@@ -23,7 +23,15 @@ file, and in radio.py by the function it runs:
                scenario, config, metrics, harness, cli)
 
 kernel.py also holds the seeded streams, so the radio's noise draws
-(`RandomStream.normals`) count as kernel time.
+(`RandomStream.normals`) count as kernel time. The weighted next-hop draw,
+`weighted_pick`, sits in routing.py beside the tables, so it counts as
+routing time for every protocol that calls it.
+
+Methods that `dataclass` generates have no antwsn file: the `__init__` of
+`Frame`, `Ant`, `Flood` and `DataPacket` has the `co_filename` `<string>`.
+A sample inside one lands on the antwsn frame that called it. For example
+`Simulation.send_frame`, which builds every `Frame`, takes about 5% of the
+babr pressure cell's samples, all of them under harness.
 
 A sample with no antwsn frame on its stack is counted as outside and left
 out of the shares. A cell too small to take MIN_SAMPLES samples in one
