@@ -97,8 +97,11 @@ class EEABR(Protocol):
             if n in exclude:
                 continue
             e = budget if n == sink else residual[n]
+            headroom = budget - e
+            if headroom < floor:   # max(budget - e, floor), without the call
+                headroom = floor
             candidates.append(n)
-            weights.append((tau ** alpha) * ((1.0 / max(budget - e, floor)) ** beta))
+            weights.append((tau ** alpha) * ((1.0 / headroom) ** beta))
         if not candidates:
             return None
         u = sim.rng.protocol.uniform()

@@ -227,7 +227,7 @@ class Medium:
         rate = self.cfg.e_idle_per_s
         if rate == 0.0:
             return
-        now = self.kernel.now()
+        now = self.kernel.now
         if self.ledger.alive(node):
             dt = now - self._last_idle[node]
             if dt > 0:
@@ -265,7 +265,7 @@ class Medium:
         senders = self._in_range_bits[node] & self._air_bits
         if not senders:
             return False
-        now = self.kernel.now()
+        now = self.kernel.now
         inflight = self._inflight
         while senders:
             low = senders & -senders
@@ -296,9 +296,9 @@ class Medium:
             window = self.cfg.cw_init * (2 ** (attempts - 1))
             slots = self.rng_mac.randint(1, window)
             delay = slots * self.airtime(frame)
-            self.kernel.schedule(self.kernel.now() + delay, MAC_RETRY, (node, attempts))
+            self.kernel.schedule(self.kernel.now + delay, MAC_RETRY, (node, attempts))
             return
-        self.kernel.schedule(self.kernel.now(), TX_START, node)
+        self.kernel.schedule(self.kernel.now, TX_START, node)
 
     def _handle_retry(self, ev):
         self._attempt(*ev.payload)
@@ -319,7 +319,7 @@ class Medium:
             self.on_frame_lost(frame, "energy")
             self._flush_dead(node)
             return
-        t1 = self.kernel.now() + self.airtime(frame)
+        t1 = self.kernel.now + self.airtime(frame)
         # Every in-flight frame is on air here (t1 > now): a TX_END due by now
         # was scheduled before this TX_START, so it ran first and left _inflight.
         tr = _Transmission(frame, t1, self._audible(node))

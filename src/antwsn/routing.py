@@ -51,8 +51,8 @@ class RoutingError(Exception):
 class RoutingTable:
     """One weight per neighbor, in `column`, for that neighbor as the next
     hop toward the sink. The table owns its column: every write goes
-    through `set`, which checks the entry, or `set_column`, which checks the
-    whole column before it lands.
+    through `set`, which writes one pheromone entry, or `set_column`, which
+    checks the whole column before it lands.
 
     The fresh column has equal entries, so it samples uniformly. Without a
     `fresh_mass` the table is a probability table, 1/n each and kept
@@ -76,6 +76,11 @@ class RoutingTable:
         return self.column[self.index[neighbor]]
 
     def set(self, neighbor, value: float):
+        """Write one pheromone entry. A probability table takes whole
+        columns only, through `set_column`: one entry alone would take the
+        column off its sum of 1."""
+        if self.mode != PHEROMONE:
+            raise RoutingError("a probability table is written a whole column at a time")
         if value < 0:
             raise RoutingError("table entries must be >= 0")
         self.column[self.index[neighbor]] = value
@@ -147,7 +152,7 @@ class Flood:
     seen: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Ant:
     """A forward agent riding inside frames.
 

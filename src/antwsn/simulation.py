@@ -16,6 +16,10 @@ from .radio import BACKWARD_ANT, DATA, DATA_ANT, FORWARD_ANT, EnergyLedger, Fram
 from .scenario import (Topology, make_grid, make_random_square, make_trajectory,
                        traffic_schedule)
 
+# Uniforms fetched per call to the protocol stream's generator. The block
+# size changes no draw, only how many calls fetch them.
+PROTOCOL_BLOCK = 1024
+
 
 class _Streams:
     """The named draw sequences of one run. Each is seeded from the run's
@@ -28,7 +32,9 @@ class _Streams:
         self.mobility = RandomStream(seed, "mobility")
         self.radio = RandomStream(seed, "radio")
         self.mac = RandomStream(seed, "mac")
-        self.protocol = RandomStream(seed, "protocol")
+        # Protocols draw only uniforms, and one per next-hop choice, so
+        # theirs come in blocks.
+        self.protocol = RandomStream(seed, "protocol", block=PROTOCOL_BLOCK)
 
 
 @dataclass
@@ -148,7 +154,7 @@ class Simulation:
 
     def _handle_ant_launch(self, ev):
         node = ev.payload
-        if self.ledger.alive(node):
+        if self.ledger.alive_bits >> node & 1:
             # The sink never launches ants. Its tick keeps recurring, since
             # the sink can move away from this node.
             if node != self.sink_node:
@@ -185,12 +191,11 @@ class Simulation:
 
     @property
     def now(self) -> float:
-        return self.kernel.now()
+        return self.kernel.now
 
     def send_frame(self, src: int, dst: int, kind: str, payload):
         """Air a frame of `kind`; its size is the kind's, set once per run."""
-        self.medium.send(Frame(src=src, dst=dst, kind=kind,
-                               size_bits=self._frame_bits[kind], payload=payload))
+        self.medium.send(Frame(src, dst, kind, self._frame_bits[kind], payload))
 
     def new_ant_uid(self) -> int:
         return next(self._ant_uids)
@@ -249,6 +254,7 @@ class Simulation:
         events left pending, which nothing will dispatch."""
         self.kernel._handlers.clear()
         self.kernel._heap.clear()
+        self.kernel._lane.clear()
         self.medium.deliver = self.medium.on_frame_lost = None
         self.protocol.sim = None
 

@@ -85,7 +85,7 @@ class Medium:
         rate = self.cfg.e_idle_per_s
         if rate == 0.0:
             return
-        now = self.sim.now()
+        now = self.sim.now
         if self.ledger.alive(node):
             dt = now - self._last_idle[node]
             if dt > 0:
@@ -120,7 +120,7 @@ class Medium:
     def _channel_busy(self, node) -> bool:
         # The sensing node's own frame is never on air here: a node senses
         # from an empty queue (send) or from its own cycle, never mid-frame.
-        now = self.sim.now()
+        now = self.sim.now
         for tr in self._inflight:
             if tr.t1 > now and self.in_range[tr.frame.src, node]:
                 return True
@@ -148,9 +148,9 @@ class Medium:
             window = self.cfg.cw_init * (2 ** (attempts - 1))
             slots = self.rng_mac.randint(1, window)
             delay = slots * self.airtime(frame)
-            self.sim.schedule(self.sim.now() + delay, kernel.MAC_RETRY, (node, attempts))
+            self.sim.schedule(self.sim.now + delay, kernel.MAC_RETRY, (node, attempts))
             return
-        self.sim.schedule(self.sim.now(), kernel.TX_START, node)
+        self.sim.schedule(self.sim.now, kernel.TX_START, node)
 
     def _handle_retry(self, ev):
         self._attempt(*ev.payload)
@@ -170,7 +170,7 @@ class Medium:
             self.on_mac_drop(frame, "energy")
             self._flush_dead(node)
             return
-        t1 = self.sim.now() + self.airtime(frame)
+        t1 = self.sim.now + self.airtime(frame)
         tr = _Transmission(frame, t1, self._audible(node))
         self._mark_collisions(tr)
         self._inflight.append(tr)
@@ -191,14 +191,14 @@ class Medium:
         np.maximum(power, 0.0, out=power)
         cand = (power >= self.rx_threshold) & self.ledger.alive_mask()
         cand[src] = False
-        now = self.sim.now()
+        now = self.sim.now
         for tr in self._inflight:
             if tr.t1 > now:
                 cand[tr.frame.src] = False
         return cand
 
     def _mark_collisions(self, new: _Transmission):
-        now = self.sim.now()
+        now = self.sim.now
         src = new.frame.src
         for tr in self._inflight:
             if tr.t1 <= now:

@@ -1,17 +1,111 @@
 """Event loop ordering, cancellation, trace hashing, and the seeded streams."""
 
 import hashlib
+import heapq
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antwsn.kernel import RandomStream, SchedulingError, Simulator
+from antwsn.kernel import RandomStream, SchedulingError, SimEvent, Simulator
 
 
 def collect(sim, kind, out):
     sim.on(kind, lambda ev: out.append((ev.time, ev.payload)))
+
+
+class HeapReference:
+    """The event loop as one (time, sequence) heap, with no same-instant lane
+    and no reuse of a time's text: the order `Simulator` must keep."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.trace = _Lines()
+        self.dispatched = 0
+        self._seq = 0
+        self._heap = []
+        self._handlers = {}
+
+    def on(self, kind, handler):
+        self._handlers[kind] = handler
+
+    def schedule(self, time, kind, payload=None):
+        if time < self.now:
+            raise SchedulingError(f"event at t={time} is before now={self.now}")
+        ev = SimEvent()
+        ev.time, ev.sequence, ev.kind, ev.payload = time, self._seq, kind, payload
+        ev.cancelled = False
+        self._seq += 1
+        heapq.heappush(self._heap, (time, ev.sequence, ev))
+        return ev
+
+    def cancel(self, event):
+        event.cancelled = True
+
+    def run_until(self, t_end):
+        while self._heap and self._heap[0][0] <= t_end:
+            time, seq, ev = heapq.heappop(self._heap)
+            self.now = time
+            if ev.cancelled:
+                continue
+            self.trace.update(f"{time!r} {seq} {ev.kind}\n".encode())
+            self.dispatched += 1
+            self._handlers[ev.kind](ev)
+        self.now = t_end
+
+
+# Event times, and the clock's, in the lane property: equal values of
+# different types and signs, whose reprs differ.
+LANE_TIMES = [-0.0, 0.0, 0, 0.5, 1, 1.0, np.float64(1.0), 1.5, 2, 2.5]
+# One handler step: schedule at the clock's own value, at a delay after it,
+# at an absolute time from LANE_TIMES (skipped when it is past), or cancel
+# the k-th event made so far.
+LANE_STEPS = st.one_of(
+    st.just(("now",)),
+    st.tuples(st.just("after"), st.sampled_from([0, 0.0, 0.5, 1])),
+    st.tuples(st.just("at"), st.sampled_from(LANE_TIMES)),
+    st.tuples(st.just("cancel"), st.integers(0, 40)))
+
+
+def run_lane_script(sim, start, scripts, cuts, rescheduled):
+    """Drive `sim` through one script and return what it saw: per dispatched
+    event its time, sequence, kind and the clock during the handler, and the
+    clock after each `run_until` slice. The handler of the event with
+    sequence s runs `scripts[s % len(scripts)]`, so both loops do the same
+    work in the same order; an event's kind names what made it (s start,
+    n the clock's value, d a delay, t an absolute time). At most 60 events
+    are made. After each slice but the last, `rescheduled` schedules one
+    event at the clock's value from outside the loop."""
+    seen = []
+    events = []
+
+    def make(time, kind):
+        if len(events) < 60 and time >= sim.now:
+            events.append(sim.schedule(time, kind))
+
+    def handler(ev):
+        seen.append((repr(ev.time), ev.sequence, ev.kind, repr(sim.now)))
+        for step in scripts[ev.sequence % len(scripts)]:
+            if step[0] == "now":
+                make(sim.now, "n")
+            elif step[0] == "after":
+                make(sim.now + step[1], "d")
+            elif step[0] == "at":
+                make(step[1], "t")
+            elif step[1] < len(events):
+                sim.cancel(events[step[1]])
+
+    for kind in "sndt":
+        sim.on(kind, handler)
+    for time in start:
+        make(time, "s")
+    for k, bound in enumerate(cuts):
+        sim.run_until(bound)
+        seen.append(("clock", repr(sim.now)))
+        if rescheduled and k + 1 < len(cuts):
+            make(sim.now, "n")
+    return seen, sim.trace.lines, sim.dispatched
 
 
 class TestSimulator:
@@ -41,12 +135,12 @@ class TestSimulator:
         sim.schedule(5.0, "x", "edge")
         sim.run_until(5.0)
         assert out == [(5.0, "edge")]
-        assert sim.now() == 5.0
+        assert sim.now == 5.0
 
     def test_clock_advances_to_t_end(self):
         sim = Simulator()
         sim.run_until(7.5)
-        assert sim.now() == 7.5
+        assert sim.now == 7.5
 
     def test_past_scheduling_rejected(self):
         sim = Simulator()
@@ -130,6 +224,23 @@ class TestSimulator:
             sim.run_until(bound)
             assert sim.dispatched == sum(t <= bound for t in live)
 
+    @settings(max_examples=300, deadline=None)
+    @given(start=st.lists(st.sampled_from(LANE_TIMES), max_size=12),
+           scripts=st.lists(st.lists(LANE_STEPS, max_size=4), min_size=1, max_size=8),
+           cuts=st.lists(st.sampled_from([0, 0.0, 0.5, 1.0, 1.5, 2.0]), max_size=3),
+           rescheduled=st.booleans())
+    def test_same_instant_lane_keeps_the_one_heap_order(self, start, scripts, cuts,
+                                                        rescheduled):
+        # Events at the clock's time skip the heap. Dispatch order, each
+        # trace line and the clock during and after each event must still be
+        # those of one (time, sequence) heap, in sliced runs, with handlers
+        # that schedule at the clock's time and later and cancel events.
+        cuts = sorted(cuts) + [3.0]
+        sim = Simulator()
+        sim.trace = _Lines()
+        assert (run_lane_script(sim, start, scripts, cuts, rescheduled)
+                == run_lane_script(HeapReference(), start, scripts, cuts, rescheduled))
+
     def test_dispatched_counts_the_event_whose_handler_raised(self):
         sim = Simulator()
         seen = []
@@ -145,7 +256,7 @@ class TestSimulator:
             sim.run_until(10.0)
         assert seen == [1, 2, 3]
         assert sim.dispatched == 3
-        assert sim.now() == 3.0
+        assert sim.now == 3.0
         sim.run_until(10.0)
         assert seen == [1, 2, 3, 4, 5]
         assert sim.dispatched == 5
@@ -229,4 +340,21 @@ class TestRandomStream:
     def test_exponential_positive(self):
         st = RandomStream(5, "s")
         assert all(st.exponential(2.0) > 0 for _ in range(50))
+
+    def test_block_uniforms_equal_scalar_draws(self):
+        # Three whole blocks and part of a fourth, each refill included.
+        n = 3 * 1024 + 5
+        block = RandomStream(11, "protocol", block=1024)
+        twin = RandomStream(11, "protocol")
+        draws = [block.uniform() for _ in range(n)]
+        assert all(type(u) is float for u in draws)
+        assert draws == [float(twin._gen.random()) for _ in range(n)]
+
+    @pytest.mark.parametrize("draw, args", [
+        ("normal", (1.0,)), ("normals", (1.0, 3)), ("uniforms", (3,)),
+        ("randint", (1, 4)), ("exponential", (2.0,))])
+    def test_block_stream_serves_only_uniforms(self, draw, args):
+        stream = RandomStream(11, "protocol", block=1024)
+        with pytest.raises(RuntimeError, match=f"serves no {draw} draws"):
+            getattr(stream, draw)(*args)
 

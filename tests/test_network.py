@@ -107,7 +107,7 @@ class TestReproducibility:
     def test_clock_stops_at_the_horizon(self):
         sim = Simulation(small_cfg("babr", "static", duration=5.0))
         r = sim.run()
-        assert sim.kernel.now() == 5.0
+        assert sim.kernel.now == 5.0
         assert r.duration == 5.0
 
 

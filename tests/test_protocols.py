@@ -65,10 +65,10 @@ class TestBasicAntTrace:
 
     def test_column_without_weight_is_not_a_dead_end(self):
         # A column with no weight is a bug, raised rather than booked as an
-        # ant that ran out of unvisited neighbors.
+        # ant that ran out of unvisited neighbors. No write through the
+        # table can make one, so the test writes the column directly.
         sim = build_sim("babr", LINE3, sink=2)
-        for n in (0, 2):
-            sim.protocol.tables[1].set(n, 0.0)
+        sim.protocol.tables[1].column = [0.0, 0.0]
         ant = Ant(uid=sim.new_ant_uid())
         ant.visit(0, 0.0)
         ant.visit(1, 0.0)
@@ -394,8 +394,10 @@ class TestDataPipeline:
     def test_column_without_weight_raises(self):
         # Every write to a column keeps it normalized; one with no weight is
         # a bug, reported as such rather than counted as a dropped packet.
+        # No write through the table can make one, so the test writes the
+        # column directly.
         sim = build_sim("babr", LINE3, sink=2)
-        sim.protocol.tables[0].set(1, 0.0)
+        sim.protocol.tables[0].column = [0.0]
         with pytest.raises(RoutingError, match="no positive weight"):
             sim.protocol.on_data_generated(0)
 

@@ -337,7 +337,7 @@ class TestChannelState:
         def checking(kind, handler):
             def check(ev):
                 handler(ev)
-                now = sim.kernel.now()
+                now = sim.kernel.now
                 inflight = medium._inflight
                 assert all(src == tr.frame.src for src, tr in inflight.items())
                 air = 0

@@ -54,6 +54,13 @@ class TestRoutingTable:
         with pytest.raises(RoutingError):
             t.set(4, -1.0)
 
+    def test_probability_table_takes_no_single_entry(self):
+        # One entry alone would take the column off its sum of 1.
+        t = RoutingTable([4, 5])
+        with pytest.raises(RoutingError, match="whole column"):
+            t.set(5, 0.5)
+        assert t.column == [0.5, 0.5]
+
     def test_set_column_validation(self):
         t = RoutingTable([1, 2])
         with pytest.raises(RoutingError):

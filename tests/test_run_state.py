@@ -129,7 +129,7 @@ def test_finished_run_is_freed_by_refcount(protocol, scenario):
         result = sim.run()
 
         # Everything a caller reads after the run is still there.
-        assert sim.kernel.now() == cfg.duration
+        assert sim.kernel.now == cfg.duration
         for table in sim.protocol.tables.values():
             assert min(table.column) >= 0.0
             if table.mode == PROBABILITY:
