@@ -6,8 +6,7 @@ from .eeabr import (EEABR, evaporate_deposit, selection_weights, trail_deposit,
                     visibility)
 from .ff import FF, should_broadcast
 from .fp import FP
-from .ieeabr import (IEEABR, AntQuota, redistribute_column, sink_adjacent_split,
-                     sink_adjacent_split_exact)
+from .ieeabr import IEEABR, AntQuota, redistribute_column, sink_adjacent_split
 from .sc import SC, initial_distribution
 
 PROTOCOLS = {cls.name: cls for cls in (BABR, SC, FF, FP, EEABR, IEEABR)}

@@ -3,8 +3,6 @@ around the sink, a network-wide cap on live forward ants, and probability
 redistribution when a next-hop neighbor turns out to be dead.
 """
 
-from fractions import Fraction
-
 from ..routing import Ant
 from .eeabr import EEABR
 
@@ -18,14 +16,6 @@ def sink_adjacent_split(n_neighbors: int):
     if n_neighbors == 1:
         return 1.0, 0.0
     n = n_neighbors
-    return (9 * n - 5) / (4 * n * n), (4 * n - 5) / (4 * n * n)
-
-
-def sink_adjacent_split_exact(n_neighbors: int):
-    """Rational-arithmetic twin of sink_adjacent_split for identity checks."""
-    if n_neighbors == 1:
-        return Fraction(1), Fraction(0)
-    n = Fraction(n_neighbors)
     return (9 * n - 5) / (4 * n * n), (4 * n - 5) / (4 * n * n)
 
 

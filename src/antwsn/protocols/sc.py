@@ -33,13 +33,11 @@ class SC(PathReinforceProtocol):
 
     def __init__(self, sim):
         super().__init__(sim)
-        positions = sim.topology.positions
-        sink_pos = positions[sim.sink_node]
+        to_sink = sim.topology.dist[sim.sink_node]
         radius = sim.topology.tx_radius
         for node, table in self.tables.items():
             if node == sim.sink_node:
                 continue
-            q = [float(math.hypot(*(positions[n] - sink_pos))) / radius
-                 for n in table.neighbors]
+            q = [float(to_sink[n]) / radius for n in table.neighbors]
             col = initial_distribution(q, [1.0] * len(q), self.cfg.sc_beta)
             table.set_column(col)

@@ -51,7 +51,7 @@ def perturbed_reception(ideal: float, alpha_draw: float, beta_draw: float) -> fl
 
 
 class EnergyLedger:
-    """Per-node residual energy plus cumulative tx/rx/idle spend.
+    """Per-node residual energy and cumulative tx/rx/idle spend, written only here.
 
     Residual never goes below zero; a charge that would overdraw debits only
     what is left. Each debit is booked in `spent` as is, but the residual is
@@ -63,18 +63,20 @@ class EnergyLedger:
     network's budget, `initial * n`, not against the spend, which a large
     budget can dwarf. For `EnergyLedger(5, 1.0).charge(0, "tx", 1e-30)`
     alone it is 1e-30 / 5. A node with residual 0 is dead and stays
-    dead. `alive_bits` is the set of live nodes as an int bitset (bit i =
-    node i); `charge` clears a node's bit when it takes the node's last joule.
+    dead. `alive_bits` (bit i = node i) is the one record of liveness:
+    `charge` clears a node's bit when it takes the node's last joule.
     """
 
     CATEGORIES = ("tx", "rx", "idle")
 
-    def __init__(self, n: int, initial: float):
+    def __init__(self, n: int, initial: float, idle_rate: float = 0.0):
         self.n = n
         self.initial = float(initial)
+        self.idle_rate = float(idle_rate)
         self.residual = [self.initial] * n
         self.spent = {k: [0.0] * n for k in self.CATEGORIES}
         self.alive_bits = (1 << n) - 1 if self.initial > 0.0 else 0
+        self._last_idle = [0.0] * n
 
     def charge(self, node: int, kind: str, amount: float) -> float:
         """Debit up to `amount` from `node`; returns the amount actually debited."""
@@ -90,11 +92,42 @@ class EnergyLedger:
         self.spent[kind][node] += debit
         return debit
 
+    def settle_idle(self, node: int, now: float):
+        """Debit `node`'s idle draw, `idle_rate` J/s, since its last settlement."""
+        if self.idle_rate and self.alive_bits >> node & 1:
+            dt = now - self._last_idle[node]
+            if dt > 0:
+                self.charge(node, "idle", self.idle_rate * dt)
+        self._last_idle[node] = now
+
+    def receive(self, bits: int, cost: float, now: float) -> list:
+        """Settle idle draw, then debit `cost` as rx, for each live node of the
+        bitset `bits` in ascending id; returns the nodes that paid it all."""
+        bits &= self.alive_bits
+        paid = []
+        residual = self.residual
+        spent_rx = self.spent["rx"]
+        idle = self.idle_rate
+        while bits:   # lowest bit first; only a node's own debits can kill it
+            low = bits & -bits
+            bits ^= low
+            node = low.bit_length() - 1
+            if idle:
+                self.settle_idle(node, now)
+            left = residual[node]
+            if cost < left:   # `charge`, inlined for the common debit that kills no one
+                residual[node] = left - cost
+                spent_rx[node] += cost
+            elif self.charge(node, "rx", cost) < cost:
+                continue  # died mid-reception
+            paid.append(node)
+        return paid
+
     def alive(self, node: int) -> bool:
-        return self.residual[node] > 0.0
+        return bool(self.alive_bits >> node & 1)
 
     def alive_mask(self) -> np.ndarray:
-        return np.array(self.residual) > 0.0
+        return np.array([self.alive_bits >> i & 1 for i in range(self.n)], dtype=bool)
 
     # The totals use numpy's pairwise summation, not `sum`, which compensates
     # for rounding on newer Pythons and would move the reported energy's bits.
@@ -151,11 +184,11 @@ class Medium:
     """Shared radio channel: one instance per simulation run.
 
     Responsibilities: carrier-sense MAC with bounded exponential backoff,
-    energy debits for transmitters and every audible receiver, collision
-    resolution, and delivery of surviving frames to the network layer.
-    Radio, MAC and energy settings are read from `cfg`, already validated.
-    The geometry is the `topology`'s: the medium takes its distance matrix
-    and neighbor lists and computes no distance itself.
+    collision resolution, and delivery of surviving frames to the network
+    layer. Radio and MAC settings are read from `cfg`, already validated.
+    The `ledger` owns energy; the medium writes none of its state. The
+    geometry is the `topology`'s: the medium takes its distance matrix and
+    neighbor lists and computes no distance itself.
 
     MAC state is each node's frame queue plus the frames on the channel. A
     node is in a MAC cycle exactly when its queue is non-empty: the head
@@ -173,8 +206,8 @@ class Medium:
     `t1 > now`, so a frame whose TX_END is due at `now` but not yet
     dispatched reads idle.
 
-    Every live node that hears a frame without a collision is charged the
-    rx cost, and every one that survives the charge, addressee or not, is
+    Every live node that hears a frame without a collision pays the rx cost
+    (`ledger.receive`), and every one that pays it, addressee or not, is
     handed to `deliver`, in ascending node id; the protocol drops overheard
     unicasts. Link noise comes in blocks from the medium's own radio stream
     (`_draw_noise`).
@@ -208,7 +241,6 @@ class Medium:
         self._queues = [deque() for _ in range(self.n)]
         self._inflight = {}
         self._air_bits = 0
-        self._last_idle = [0.0] * self.n
         # Per-frame noise rows, drawn when the first frame airs.
         self._gain = self._offset = None
         self._noise_row = NOISE_BLOCK
@@ -223,16 +255,8 @@ class Medium:
     # -- energy ---------------------------------------------------------
 
     def settle_idle(self, node: int):
-        """Debit idle draw accrued since the last settlement for `node`."""
-        rate = self.cfg.e_idle_per_s
-        if rate == 0.0:
-            return
-        now = self.kernel.now
-        if self.ledger.alive(node):
-            dt = now - self._last_idle[node]
-            if dt > 0:
-                self.ledger.charge(node, "idle", rate * dt)
-        self._last_idle[node] = now
+        """Settle `node`'s idle draw up to now; bench/layers.py patches this name."""
+        self.ledger.settle_idle(node, self.kernel.now)
 
     def settle_all_idle(self):
         for node in range(self.n):
@@ -309,11 +333,10 @@ class Medium:
         node = ev.payload
         queue = self._queues[node]
         frame = queue[0]
-        if self.cfg.e_idle_per_s:
+        if self.ledger.idle_rate:
             self.settle_idle(node)
         cost = self.cfg.e_tx_per_bit * frame.size_bits
-        debited = self.ledger.charge(node, "tx", cost)
-        if debited < cost:
+        if self.ledger.charge(node, "tx", cost) < cost:
             # Ran out of juice mid-charge: node is now dead, frame never airs.
             queue.popleft()
             self.on_frame_lost(frame, "energy")
@@ -385,30 +408,9 @@ class Medium:
         src = frame.src
         del self._inflight[src]
         self._air_bits ^= 1 << src
-        ledger = self.ledger
-        # A receiver's own charges are the only ones that can kill it, and
-        # they come after its turn, so the live set can be taken up front.
-        receivers = tr.candidates & ~tr.lost & ledger.alive_bits
-        delivered = []
-        rx_cost = self.cfg.e_rx_per_bit * frame.size_bits
-        idle = self.cfg.e_idle_per_s
-        residual = ledger.residual
-        spent_rx = ledger.spent["rx"]
-        while receivers:   # lowest bit first: ascending node id
-            low = receivers & -receivers
-            receivers ^= low
-            node = low.bit_length() - 1
-            if idle:
-                self.settle_idle(node)
-            left = residual[node]
-            if rx_cost < left:
-                # EnergyLedger.charge's own arithmetic for a debit that
-                # leaves the node alive.
-                residual[node] = left - rx_cost
-                spent_rx[node] += rx_cost
-            elif ledger.charge(node, "rx", rx_cost) < rx_cost:
-                continue  # died mid-reception
-            delivered.append(node)
+        delivered = self.ledger.receive(tr.candidates & ~tr.lost,
+                                        self.cfg.e_rx_per_bit * frame.size_bits,
+                                        self.kernel.now)
         # Unicast bookkeeping before the handlers run, so the network sees
         # failures in channel order.
         if frame.dst != BROADCAST and frame.dst not in delivered:

@@ -95,7 +95,7 @@ class Simulation:
         self._bind_sink()
 
         self.protocol = make_protocol(cfg.protocol, self)
-        self.ledger = EnergyLedger(self.topology.n, cfg.energy_budget)
+        self.ledger = EnergyLedger(self.topology.n, cfg.energy_budget, cfg.e_idle_per_s)
         self.medium = Medium(
             self.kernel, self.topology, cfg, self.ledger,
             self.rng.radio, self.rng.mac,

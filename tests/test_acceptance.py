@@ -21,12 +21,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from exact_reference import sink_adjacent_split_exact
 from antwsn.config import SimConfig
 from antwsn.harness import ExperimentPlan, run_experiment
 from antwsn.protocols.babr import reinforce
 from antwsn.protocols.eeabr import selection_weights, trail_deposit
-from antwsn.protocols.ieeabr import (redistribute_column, sink_adjacent_split,
-                                     sink_adjacent_split_exact)
+from antwsn.protocols.ieeabr import redistribute_column, sink_adjacent_split
 from antwsn.protocols.sc import initial_distribution
 from antwsn.radio import FORWARD_ANT, Frame
 from antwsn.routing import Ant, RoutingTable

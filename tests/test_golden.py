@@ -8,7 +8,10 @@ lost or doubled count fails here even when the schedule does not move. The
 cells cover every protocol in both scenarios, the two ant-pressure cells
 (MAC contention, collisions, the ieeabr live-ant cap), and drained-battery
 cells in which most nodes die, so MAC dead and energy drops and ieeabr's
-dead-next-hop redistribution are pinned as well. Each cell runs once for
+dead-next-hop redistribution are pinned as well. The idle-draw cells charge
+every node 0.01 J/s against a 0.25 J budget, so 15 to 23 of the 25 nodes
+die of idle drain plus traffic inside the run: they pin idle settlement at
+transmissions, at receptions and at the horizon. Each cell runs once for
 both of its tests; all of them run in a few seconds.
 """
 
@@ -27,6 +30,7 @@ VARIANTS = {
     "base": dict(nodes=25, duration=20.0),
     "pressure": dict(nodes=49, duration=10.0, ant_interval=0.08, traffic_rate=0.1),
     "drained": dict(nodes=25, duration=20.0, initial_energy=0.05, ant_interval=0.5),
+    "idle": dict(nodes=25, duration=20.0, initial_energy=0.25, e_idle_per_s=0.01),
 }
 
 # (protocol, scenario, variant) -> (trace_sha256, dispatched_events,
@@ -105,6 +109,30 @@ GOLDEN = {
         'fa943b2239d2bd5c21bbb89d0a32cd2e9b4f017c4cb062b3dc73944a59b4c7b2',
         4690, 0.04702702702702672, 24.18300653594771,
         1.1678799999999978, 12.67253484947086, 9),
+    ('babr', 'static', 'idle'): (
+        '92030a77a480b3721c0ef207881618e72d2474a86ca9539946c0bdee5a16389d',
+        3551, 0.06628969011665217, 40.35874439461883,
+        6.0612, 5.93941793704217, None),
+    ('sc', 'static', 'idle'): (
+        '2406c765b1c2de28142d3de2a1d51d82c428512061d39a50135f14be3c7d8c7b',
+        3550, 0.07014839264344722, 47.747747747747745,
+        6.07696, 6.977172796924778, None),
+    ('ff', 'static', 'idle'): (
+        'cda31724bf1b75a3a36d58f79aaa9714154cf44323a3402d16269c823c5ba9e4',
+        8511, 0.2384562926848505, 19.90740740740741,
+        6.201279999999995, 2.7736209298725445, None),
+    ('fp', 'static', 'idle'): (
+        '21f175e1875962aefc721fad6a76198fb4a7205d063534b54eaab83747b3b7b7',
+        5509, 1.7808715558224386, 40.20100502512563,
+        6.223400000000001, 5.141883857698364, None),
+    ('eeabr', 'static', 'idle'): (
+        'd5b895d94ab17bf0697ae036c030c72dc2aa2a350fc3ce69cc52367cc7d3c7b8',
+        3240, 0.03873701851204635, 51.072961373390555,
+        6.111440000000001, 7.788671736939247, None),
+    ('ieeabr', 'static', 'idle'): (
+        'f3eea00351b4b2da59187a118a2b423ea33454defddbd0dd06f27737723cdfc8',
+        3299, 0.06894765588549964, 57.758620689655174,
+        6.0955200000000005, 8.79334330787201, 3),
 }
 
 
@@ -114,21 +142,27 @@ COUNTERS = {
     ('babr', 'dynamic', 'base'): '4fb48966bb057a5e',
     ('babr', 'static', 'base'): 'bffc17c6925d3ec8',
     ('babr', 'static', 'drained'): '19074354ad8a092b',
+    ('babr', 'static', 'idle'): 'e5d7a52330bed8cd',
     ('babr', 'static', 'pressure'): 'd3112d6bd883fe9c',
     ('eeabr', 'dynamic', 'base'): 'a79e89e6f08b8f5a',
     ('eeabr', 'static', 'base'): '06bb6e7d484025fe',
     ('eeabr', 'static', 'drained'): '5528a7947b87d14a',
+    ('eeabr', 'static', 'idle'): 'd0d9ff5e680d413f',
     ('ff', 'dynamic', 'base'): 'f3fa7c3e90fab548',
     ('ff', 'static', 'base'): '8d1d6998250d1255',
+    ('ff', 'static', 'idle'): 'bed335b7924d3c06',
     ('fp', 'dynamic', 'base'): '582f42deb6f49b83',
     ('fp', 'static', 'base'): '39cd5df8ee6cf646',
     ('fp', 'static', 'drained'): 'd0380fa7c332f198',
+    ('fp', 'static', 'idle'): '8420dd60499f6240',
     ('ieeabr', 'dynamic', 'base'): '7d6c40c122cac2c3',
     ('ieeabr', 'static', 'base'): '38d9a05a7fd82483',
     ('ieeabr', 'static', 'drained'): '365c41744630de3a',
+    ('ieeabr', 'static', 'idle'): 'a3d5dcea4da13432',
     ('ieeabr', 'static', 'pressure'): '32249cf09b54d959',
     ('sc', 'dynamic', 'base'): 'ba99605a5761f5e2',
     ('sc', 'static', 'base'): 'd90ba02bcbd877a2',
+    ('sc', 'static', 'idle'): '2ef6c94edeb922b6',
 }
 
 

@@ -27,6 +27,8 @@ def test_code_maps_to_its_layer():
         Medium._audible: "radio",
         Medium.settle_idle: "energy",
         EnergyLedger.charge: "energy",
+        EnergyLedger.receive: "energy",
+        EnergyLedger.settle_idle: "energy",
         RoutingTable.sample: "routing",
         weighted_pick: "routing",
         EEABR._pick_next: "protocols",

@@ -11,14 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from exact_reference import sink_adjacent_split_exact
 from antwsn.config import SimConfig
 from antwsn.protocols import eeabr
 from antwsn.protocols import (reinforce, reinforcement_factor,
                               initial_distribution, should_broadcast,
                               visibility, selection_weights, trail_deposit,
                               evaporate_deposit, sink_adjacent_split,
-                              sink_adjacent_split_exact, redistribute_column,
-                              AntQuota)
+                              redistribute_column, AntQuota)
 from antwsn.protocols.eeabr import VISIBILITY_FLOOR
 from antwsn.routing import RoutingError, RoutingTable, weighted_pick
 from antwsn.scenario import from_points

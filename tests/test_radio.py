@@ -107,6 +107,43 @@ class TestEnergyLedger:
         led.charge(1, "tx", 1.0)
         assert list(led.alive_mask()) == [True, False, True]
 
+    def test_idle_draw_accrues_while_alive(self):
+        led = EnergyLedger(2, 1.0, idle_rate=0.25)
+        led.settle_idle(0, 2.0)
+        led.settle_idle(0, 2.0)                    # nothing new accrued
+        assert led.spent["idle"] == [0.5, 0.0]
+        led.settle_idle(0, 10.0)                   # 2 J due, 0.5 J left
+        assert led.residual[0] == 0.0 and not led.alive(0)
+        led.settle_idle(0, 20.0)                   # the dead draw nothing
+        assert led.spent["idle"] == [1.0, 0.0]
+        quiet = EnergyLedger(1, 1.0)
+        quiet.settle_idle(0, 5.0)                  # rate 0: nothing accrues
+        assert quiet.residual == [1.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(initial=st.sampled_from([0.0, 0.3, 1.0]),
+           rate=st.sampled_from([0.0, 0.05, 0.5]),
+           frames=st.lists(st.tuples(st.integers(0, 31),
+                                     st.sampled_from([0.0, 0.1, 0.3, 0.25]),
+                                     st.floats(0.0, 1.0)), max_size=20))
+    def test_receive_is_settle_then_charge_per_node(self, initial, rate, frames):
+        # `receive` must debit exactly what settling each live receiver's
+        # idle draw, then charging it rx, lowest id first, would; a node is
+        # paid up when its charge took the whole cost.
+        led, twin = EnergyLedger(5, initial, rate), EnergyLedger(5, initial, rate)
+        now = 0.0
+        for bits, cost, dt in frames:
+            now += dt
+            live, paid = bits & twin.alive_bits, []
+            for node in range(5):
+                if live >> node & 1:
+                    twin.settle_idle(node, now)
+                    if twin.charge(node, "rx", cost) == cost:
+                        paid.append(node)
+            assert led.receive(bits, cost, now) == paid
+            assert ((led.residual, led.spent, led.alive_bits)
+                    == (twin.residual, twin.spent, twin.alive_bits))
+
 
 class TestFrame:
     def test_zero_size_rejected(self):
@@ -133,9 +170,9 @@ def build_medium(positions, initial=30.0, seed=1, **settings):
     whether its addressee is dead, read from the ledger as ieeabr reads it;
     a MAC drop with its reason."""
     sim = Simulator()
-    ledger = EnergyLedger(len(positions), initial)
     log = {"delivered": [], "undelivered": [], "dropped": []}
     cfg = SimConfig(sigma_alpha=0.0, sigma_beta=0.0, **settings)
+    ledger = EnergyLedger(len(positions), initial, cfg.e_idle_per_s)
 
     def lost(frame, reason):
         if reason == "undelivered":

@@ -15,7 +15,9 @@ the innermost stack frame that runs antwsn code and maps it to a layer by its
 file, and in radio.py by the function it runs:
 
     kernel     kernel.py
-    energy     radio.py: EnergyLedger.* and Medium.settle_idle
+    energy     radio.py: EnergyLedger.* (every tx, rx and idle debit,
+               including `receive`'s loop over a frame's receivers) and
+               Medium.settle_idle, which hands the clock to the ledger
     radio      the rest of radio.py (MAC, channel, collisions, delivery)
     routing    routing.py
     protocols  protocols/
